@@ -1,8 +1,12 @@
 """Benchmark the compiled ensemble-step kernel against the numpy fallback.
 
 Runs the fused exp/multiply/shift step on a representative ensemble and
-reports milliseconds per step for each available backend, plus their maximum
-relative disagreement on identical inputs.
+reports, for each available backend, nanoseconds per element in two layouts:
+the whole ensemble as one (P, N) call, and the same paths in blocks of
+`_BLOCK_PATHS` (256) paths, each block stepping on its own small buffers the
+way `simulate_mild` runs them. Only the kernel call is timed; refreshing the
+exponent buffer, which the numpy kernel overwrites, happens between timings.
+Also prints the backends' maximum relative disagreement on identical inputs.
 
 Usage:
     python3 benchmarks/bench_kernels.py [--paths N] [--points N] [--reps N]
@@ -14,6 +18,7 @@ import time
 import numpy as np
 
 from bondlab import _kernels_py
+from bondlab.dynamics import _BLOCK_PATHS
 
 
 def load_backends():
@@ -28,26 +33,44 @@ def load_backends():
     return backends
 
 
-def bench(mod, states, expo, fill, out, reps):
-    """Returns milliseconds per step for one backend.
+def kernel_seconds(mod, states, expo, fill, out, reps):
+    """Total kernel time over reps calls on one set of buffers.
 
-    The exponent buffer is refreshed before each call because the kernel
-    overwrites it in place, mirroring how the simulator reuses buffers.
+    One untimed warm-up call first; the exponent buffer is refreshed before
+    each call, outside the timed interval.
     """
     work = expo.copy()
     mod.step_exp_shift(states, work, fill, 1, 0.25, out)
-    start = time.perf_counter()
+    total = 0.0
     for _ in range(reps):
         work[:] = expo
+        start = time.perf_counter()
         mod.step_exp_shift(states, work, fill, 1, 0.25, out)
-    return (time.perf_counter() - start) / reps * 1e3
+        total += time.perf_counter() - start
+    return total
+
+
+def bench(mod, states, expo, fill, reps):
+    """(whole-ensemble ns/element, blocked ns/element, whole-ensemble output)."""
+    out = np.empty_like(states)
+    elements = states.size * reps
+    whole = kernel_seconds(mod, states, expo, fill, out, reps) / elements * 1e9
+    blocked = 0.0
+    for j in range(0, states.shape[0], _BLOCK_PATHS):
+        rows = slice(j, j + _BLOCK_PATHS)
+        # private contiguous buffers per block, as in the simulator
+        block_out = np.empty_like(states[rows])
+        blocked += kernel_seconds(
+            mod, states[rows].copy(), expo[rows].copy(), fill[rows].copy(), block_out, reps
+        )
+    return whole, blocked / elements * 1e9, out
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--paths", type=int, default=4000)
-    parser.add_argument("--points", type=int, default=1025)
-    parser.add_argument("--reps", type=int, default=30)
+    parser.add_argument("--paths", type=int, default=10_000)
+    parser.add_argument("--points", type=int, default=513)
+    parser.add_argument("--reps", type=int, default=20)
     args = parser.parse_args()
 
     rng = np.random.default_rng(0)
@@ -55,14 +78,15 @@ def main():
     expo = rng.normal(0.0, 0.002, (args.paths, args.points))
     fill = np.exp(rng.normal(0.0, 0.01, args.paths))
 
-    backends = load_backends()
     outputs = {}
-    print(f"ensemble {args.paths} paths x {args.points} points, {args.reps} reps")
-    for name, mod in backends:
-        out = np.empty_like(states)
-        ms = bench(mod, states, expo, fill, out, args.reps)
-        outputs[name] = out.copy()
-        print(f"  {name:>8}: {ms:8.3f} ms/step")
+    print(
+        f"ensemble {args.paths} paths x {args.points} points, {args.reps} reps; "
+        f"ns/element, kernel time only"
+    )
+    print(f"  {'backend':>8}  {'whole':>8}  {f'blocks of {_BLOCK_PATHS}':>14}")
+    for name, mod in load_backends():
+        whole, blocked, outputs[name] = bench(mod, states, expo, fill, args.reps)
+        print(f"  {name:>8}  {whole:8.3f}  {blocked:14.3f}")
 
     if len(outputs) == 2:
         a, b = outputs["compiled"], outputs["python"]

@@ -199,13 +199,14 @@ def hs_inner_samples(y1: np.ndarray, y2: np.ndarray, dx: float, s: int, axis: in
     """Batched H^s inner product of raw sample arrays along `axis`.
 
     Used by the simulation diagnostics where building Curve objects per path
-    would dominate the cost. y1 and y2 must be broadcast-compatible.
+    would dominate the cost. y1 and y2 must be broadcast-compatible; passing
+    the same array twice differentiates it once per order.
     """
     total = _trapezoid(y1 * y2, dx=dx, axis=axis)
     d1, d2 = y1, y2
     for _ in range(s):
         d1 = np.gradient(d1, dx, axis=axis, edge_order=2)
-        d2 = np.gradient(d2, dx, axis=axis, edge_order=2)
+        d2 = d1 if y1 is y2 else np.gradient(d2, dx, axis=axis, edge_order=2)
         total = total + _trapezoid(d1 * d2, dx=dx, axis=axis)
     return total
 

@@ -22,6 +22,7 @@ exposed as residual diagnostics, discretized with left-point sums.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -195,11 +196,25 @@ def brownian_increments(config: SimConfig, n_factors: int) -> np.ndarray:
 # --- rates -------------------------------------------------------------------
 
 
-def _spot_from_values(values: np.ndarray, dx: float) -> np.ndarray:
-    """r = -p'(0)/p(0) with a one-sided second-order stencil; batched."""
+def _spot_from_values(
+    values: np.ndarray, dx: float, step: int | None = None, first_path: int = 0
+) -> np.ndarray:
+    """r = -p'(0)/p(0) with a one-sided second-order stencil; batched.
+
+    step and first_path (the ensemble index of values[0]) only label the
+    error raised for a (P, N) batch.
+    """
     v0 = values[..., 0]
-    if np.any(v0 <= 0.0):
-        raise DegenerateCurve("curve non-positive at x = 0")
+    bad = ~(v0 > 0.0)  # also catches NaN
+    if np.any(bad):
+        if step is None:
+            raise DegenerateCurve("curve non-positive or NaN at x = 0")
+        path = first_path + int(np.argmax(bad))
+        raise DegenerateCurve(
+            f"curve non-positive or NaN at x = 0 at step {step}, path {path}",
+            step=step,
+            path=path,
+        )
     deriv0 = (-3.0 * v0 + 4.0 * values[..., 1] - values[..., 2]) / (2.0 * dx)
     return -deriv0 / v0
 
@@ -224,6 +239,47 @@ def forward_rate(p: Curve, x: float) -> float:
 # --- simulation --------------------------------------------------------------
 
 
+# Paths per block of the ensemble loop. A block runs all K steps on its own
+# (B, N) buffers, about 1 MB each at N = 513, so they stay in L2.
+_BLOCK_PATHS = 256
+
+
+def _deterministic_coefficients(schedule: CoefficientSchedule, times, gamma_arr, dt: float):
+    """Per-step exponent coefficients of a deterministic schedule.
+
+    Returns base (K, N), sig (K, n, N), base_a (K,) and sig_a (K, n): step k
+    multiplies the nodes by exp(dW sig[k] + base[k]) and the constant part by
+    exp(dW sig_a[k] + base_a[k]).
+    """
+    rows = []
+    for k in range(times.size - 1):
+        m_k, sig_k = schedule.at(float(times[k]))
+        sig_vals = sig_k.values_matrix()
+        sig_a = sig_k.constant_parts()
+        drift_vals = m_k.curve.values().copy()
+        drift_a = m_k.curve.a
+        if gamma_arr is not None:
+            drift_vals -= gamma_arr[k] @ sig_vals
+            drift_a -= float(gamma_arr[k] @ sig_a)
+        base = (drift_vals - 0.5 * np.einsum("in,in->n", sig_vals, sig_vals)) * dt
+        base_a = (drift_a - 0.5 * float(sig_a @ sig_a)) * dt
+        rows.append((base, sig_vals, base_a, sig_a))
+    return tuple(np.array(column) for column in zip(*rows))
+
+
+def _exponent(dw: np.ndarray, sig: np.ndarray, base, out: np.ndarray) -> None:
+    """out = dw @ sig + base for (B, n) dw, summed factor by factor.
+
+    Elementwise products give each path the same bits whatever the block
+    size; a BLAS product picks its kernel by matrix shape, so its rounding
+    for a multi-factor sig would depend on how many paths share a block.
+    """
+    np.multiply(dw[:, :1], sig[0], out=out)
+    for i in range(1, sig.shape[0]):
+        out += dw[:, i : i + 1] * sig[i]
+    out += base
+
+
 def _norm_batch(values: np.ndarray, const: np.ndarray, dx: float, order: int) -> np.ndarray:
     """Batched E^order norm of curves given node values and constant parts."""
     g = values - const[:, None]
@@ -244,6 +300,12 @@ def simulate_mild(
     record_locations=None,
 ) -> CurvePath:
     """Simulate the discounted-curve ensemble by the exact log-Euler scheme.
+
+    Paths run in blocks of _BLOCK_PATHS, each through all K steps on its own
+    cache-sized buffers; for a deterministic schedule the blocks run on one
+    thread per available core. Every path's result is computed from its own
+    noise only, so the outputs do not depend on the block size or the thread
+    count, and the first m paths of a run equal an m-path run.
 
     Args:
         p0: initial curve with p0(0) = 1 and positive node values.
@@ -267,6 +329,9 @@ def simulate_mild(
     Raises:
         ConfigInvalid: inconsistent shapes, measure, or p0(0) != 1.
         NonPositiveInitialCurve: p0 has a non-positive node value.
+        DegenerateCurve: a simulated curve is non-positive or NaN at x = 0
+            (or q is non-positive when recording norms); carries the step
+            and path of the first one found, in the first failing block.
     """
     grid, s = config.grid, config.s
     if p0.grid != grid:
@@ -305,109 +370,135 @@ def simulate_mild(
     shift = dt / dx
     k0 = int(math.floor(shift))
     frac = shift - k0
+    times = config.times
 
-    states = np.ascontiguousarray(np.broadcast_to(vals0, (P, N)).copy())
-    out = np.empty_like(states)
-    expo = np.empty_like(states)
-    fill = np.full(P, p0.a)
+    if schedule.deterministic:
+        base, sig, base_a, sig_a = _deterministic_coefficients(schedule, times, gamma_arr, dt)
 
     spot = np.empty((K + 1, P))
     value0 = np.empty((K + 1, P))
-    spot[0] = _spot_from_values(states, dx)
-    value0[0] = states[:, 0]
+    terminal = np.empty((P, N))
+    terminal_fill = np.empty(P)
 
     states_all = fill_all = None
     if keep_states:
         states_all = np.empty((K + 1, P, N))
         fill_all = np.empty((K + 1, P))
-        states_all[0] = states
-        fill_all[0] = fill
 
     obs_loc = observations = None
     if record_locations is not None:
         obs_loc = np.atleast_1d(np.asarray(record_locations, dtype=np.float64))
         observations = np.empty((K + 1, P, obs_loc.size))
-        observations[0] = atoms_value_matrix(obs_loc, states, grid)
 
     sup_p = sup_q = sup_qinv = None
     norm_order = s.s + 1
     if record_norms:
-        sup_p = _norm_batch(states, fill, dx, norm_order)
-        q0 = np.ones_like(states)
-        one = np.ones(P)
-        sup_q = _norm_batch(q0, one, dx, norm_order)
-        sup_qinv = sup_q.copy()
+        sup_p, sup_q, sup_qinv = np.empty(P), np.empty(P), np.empty(P)
+        # L_t p0 on the nodes at every time
+        l_vals = [
+            np.interp(grid.nodes + float(t), grid.nodes, p0.g, right=0.0) + p0.a for t in times
+        ]
 
-    times = config.times
-    for k in range(K):
-        t = float(times[k])
-        dwk = noise[:, k, :]
-        if schedule.deterministic:
-            m_k, sig_k = schedule.at(t)
-            sig_vals = sig_k.values_matrix()
-            sig_a = sig_k.constant_parts()
-            drift_vals = m_k.curve.values().copy()
-            drift_a = m_k.curve.a
-            if gamma_arr is not None:
-                drift_vals -= gamma_arr[k] @ sig_vals
-                drift_a -= float(gamma_arr[k] @ sig_a)
-            base = (drift_vals - 0.5 * np.einsum("in,in->n", sig_vals, sig_vals)) * dt
-            base_a = (drift_a - 0.5 * float(sig_a @ sig_a)) * dt
-            np.dot(dwk, sig_vals, out=expo)
-            expo += base
-            fill_expo = base_a + dwk @ sig_a
-        else:
-            fill_expo = np.empty(P)
-            for j in range(P):
-                p_j = Curve(grid, states[j] - fill[j], float(fill[j]))
-                m_j, sig_j = schedule.at(t, p_j)
-                sig_vals = sig_j.values_matrix()
-                sig_a = sig_j.constant_parts()
-                drift_vals = m_j.curve.values()
-                drift_a = m_j.curve.a
-                if gamma_arr is not None:
-                    drift_vals = drift_vals - gamma_arr[k] @ sig_vals
-                    drift_a = drift_a - float(gamma_arr[k] @ sig_a)
-                expo[j] = (drift_vals - 0.5 * np.einsum("in,in->n", sig_vals, sig_vals)) * dt
-                expo[j] += dwk[j] @ sig_vals
-                fill_expo[j] = (drift_a - 0.5 * float(sig_a @ sig_a)) * dt + dwk[j] @ sig_a
-
-        fill = fill * np.exp(fill_expo)
-        kernels.step_exp_shift(states, expo, fill, k0, frac, out)
-        states, out = out, states
-
-        spot[k + 1] = _spot_from_values(states, dx)
-        value0[k + 1] = states[:, 0]
+    def record(k: int, cols: slice, states: np.ndarray, fill: np.ndarray) -> None:
+        """Store time k's observables of the paths in cols."""
+        spot[k, cols] = _spot_from_values(states, dx, step=k, first_path=cols.start)
+        value0[k, cols] = states[:, 0]
         if keep_states:
-            states_all[k + 1] = states
-            fill_all[k + 1] = fill
+            states_all[k, cols] = states
+            fill_all[k, cols] = fill
         if observations is not None:
-            observations[k + 1] = atoms_value_matrix(obs_loc, states, grid)
-        if record_norms:
-            np.maximum(sup_p, _norm_batch(states, fill, dx, norm_order), out=sup_p)
-            t_next = float(times[k + 1])
-            l_vals = np.interp(grid.nodes + t_next, grid.nodes, p0.g, right=0.0) + p0.a
-            if p0.a > 0.0:
-                q = states / l_vals[None, :]
-                aq = fill / p0.a
+            observations[k, cols] = atoms_value_matrix(obs_loc, states, grid)
+        if not record_norms:
+            return
+        norm_p = _norm_batch(states, fill, dx, norm_order)
+        if k == 0:
+            sup_p[cols] = norm_p
+            sup_q[cols] = _norm_batch(np.ones_like(states), np.ones(len(fill)), dx, norm_order)
+            sup_qinv[cols] = sup_q[cols]
+            return
+        np.maximum(sup_p[cols], norm_p, out=sup_p[cols])
+        if p0.a > 0.0:
+            q = states / l_vals[k][None, :]
+            aq = fill / p0.a
+        else:
+            # truncation tail is 0/0 where L_t p0 degenerates; pin q = 1 there
+            valid = l_vals[k] > 1e-300
+            q = np.ones_like(states)
+            q[:, valid] = states[:, valid] / l_vals[k][valid]
+            aq = np.ones(len(fill))
+        bad = np.any(q <= 0.0, axis=1)
+        if np.any(bad):
+            path = cols.start + int(np.argmax(bad))
+            raise DegenerateCurve(
+                f"q = p / L_t p0 non-positive at step {k}, path {path}; norms undefined",
+                step=k,
+                path=path,
+            )
+        np.maximum(sup_q[cols], _norm_batch(q, aq, dx, norm_order), out=sup_q[cols])
+        norm_qinv = _norm_batch(1.0 / q, 1.0 / aq, dx, norm_order)
+        np.maximum(sup_qinv[cols], norm_qinv, out=sup_qinv[cols])
+
+    def run_block(cols: slice) -> None:
+        """All K steps of the paths in cols, on buffers private to the block."""
+        states = np.empty((cols.stop - cols.start, N))
+        states[:] = vals0
+        out = np.empty_like(states)
+        expo = np.empty_like(states)
+        fill = np.full(len(states), p0.a)
+        fill_expo = np.empty(len(states))
+        record(0, cols, states, fill)
+        for k in range(K):
+            dwk = noise[cols, k, :]
+            if schedule.deterministic:
+                _exponent(dwk, sig[k], base[k], expo)
+                _exponent(dwk, sig_a[k][:, None], base_a[k], fill_expo[:, None])
             else:
-                # truncation tail is 0/0 where L_t p0 degenerates; pin q = 1 there
-                valid = l_vals > 1e-300
-                q = np.ones_like(states)
-                q[:, valid] = states[:, valid] / l_vals[valid]
-                aq = np.ones(P)
-            if np.any(q <= 0.0):
-                raise DegenerateCurve("q = p / L_t p0 non-positive; norms undefined")
-            np.maximum(sup_q, _norm_batch(q, aq, dx, norm_order), out=sup_q)
-            np.maximum(sup_qinv, _norm_batch(1.0 / q, 1.0 / aq, dx, norm_order), out=sup_qinv)
+                t = float(times[k])
+                for j in range(len(states)):
+                    p_j = Curve(grid, states[j] - fill[j], float(fill[j]))
+                    m_j, sig_j = schedule.at(t, p_j)
+                    sig_vals = sig_j.values_matrix()
+                    sig_aj = sig_j.constant_parts()
+                    drift_vals = m_j.curve.values()
+                    drift_a = m_j.curve.a
+                    if gamma_arr is not None:
+                        drift_vals = drift_vals - gamma_arr[k] @ sig_vals
+                        drift_a = drift_a - float(gamma_arr[k] @ sig_aj)
+                    expo[j] = (drift_vals - 0.5 * np.einsum("in,in->n", sig_vals, sig_vals)) * dt
+                    expo[j] += dwk[j] @ sig_vals
+                    fill_expo[j] = (drift_a - 0.5 * float(sig_aj @ sig_aj)) * dt + dwk[j] @ sig_aj
+
+            fill = fill * np.exp(fill_expo)
+            kernels.step_exp_shift(states, expo, fill, k0, frac, out)
+            states, out = out, states
+            record(k + 1, cols, states, fill)
+        terminal[cols] = states
+        terminal_fill[cols] = fill
+
+    blocks = [slice(j, min(j + _BLOCK_PATHS, P)) for j in range(0, P, _BLOCK_PATHS)]
+    # state-dependent schedules call user code per path: keep it on this thread
+    n_threads = 1
+    if schedule.deterministic:
+        cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        n_threads = min(cores or 1, len(blocks))
+    if n_threads > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=n_threads) as pool:
+            # results in block order, so the first failing block's error is raised
+            for _ in pool.map(run_block, blocks):
+                pass
+    else:
+        for cols in blocks:
+            run_block(cols)
 
     return CurvePath(
         config=config,
         p0=p0,
         measure=measure,
         dw=noise,
-        terminal=states.copy(),
-        terminal_fill=fill.copy(),
+        terminal=terminal,
+        terminal_fill=terminal_fill,
         spot=spot,
         value0=value0,
         states=states_all,
@@ -431,6 +522,20 @@ def boundary_residual(path: CurvePath) -> float:
     return float(np.max(np.abs(path.value0 - np.exp(-integral))))
 
 
+def _node_derivative(values: np.ndarray, j: int, dx: float) -> np.ndarray:
+    """np.gradient(values, dx, axis=-1, edge_order=2)[..., j], bit for bit.
+
+    Valid for nodes 1..n-1 (rollover maturities are at least dx). Reads only
+    the three nodes of node j's stencil instead of differentiating every node
+    of every curve.
+    """
+    n = values.shape[-1]
+    if j == n - 1:
+        a, b, c = 0.5 / dx, -2.0 / dx, 1.5 / dx
+        return a * values[..., n - 3] + b * values[..., n - 2] + c * values[..., n - 1]
+    return (values[..., j + 1] - values[..., j - 1]) / (2.0 * dx)
+
+
 def simulate_rollover(path: CurvePath, maturity: float) -> RolloverPath:
     """Roll a bank account at constant time-to-maturity S = maturity.
 
@@ -449,13 +554,14 @@ def simulate_rollover(path: CurvePath, maturity: float) -> RolloverPath:
             f"rollover maturity {maturity} outside [{cfg.grid.dx}, "
             f"{cfg.grid.x_max - cfg.horizon}]"
         )
-    nodes, dx, dt = cfg.grid.nodes, cfg.grid.dx, cfg.dt
-    deriv = np.gradient(path.states, dx, axis=2, edge_order=2)
+    dx, dt = cfg.grid.dx, cfg.dt
     pos = maturity / dx
     idx = min(int(pos), cfg.grid.n_points - 2)
     w = pos - idx
     p_at = (1.0 - w) * path.states[:, :, idx] + w * path.states[:, :, idx + 1]
-    dp_at = (1.0 - w) * deriv[:, :, idx] + w * deriv[:, :, idx + 1]
+    dp_at = (1.0 - w) * _node_derivative(path.states, idx, dx) + w * _node_derivative(
+        path.states, idx + 1, dx
+    )
     if np.any(p_at <= 0.0):
         raise DegenerateCurve(f"p_t({maturity}) non-positive on some path")
     fwd = -dp_at / p_at

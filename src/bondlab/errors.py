@@ -63,7 +63,16 @@ class NonPositiveInitialCurve(ValidationFailure):
 
 
 class DegenerateCurve(NumericalFailure):
-    """Rate extraction hit a non-positive curve value."""
+    """Rate extraction hit a non-positive or NaN curve value.
+
+    In a simulated ensemble, step (index into the time grid) and path locate
+    the first bad curve; both are None elsewhere.
+    """
+
+    def __init__(self, message: str, *, step: int | None = None, path: int | None = None):
+        super().__init__(message)
+        self.step = step
+        self.path = path
 
 
 # --- portfolio -------------------------------------------------------------

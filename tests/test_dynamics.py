@@ -1,9 +1,13 @@
 """Tests for the curve simulation: stepping, rates, rollovers, diagnostics."""
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bondlab import dynamics
 from bondlab.curve_space import Curve, MaturityGrid, SobolevIndex, atoms_value_matrix
 from bondlab.dynamics import (
     SimConfig,
@@ -20,7 +24,14 @@ from bondlab.dynamics import (
     undiscount_path,
 )
 from bondlab.errors import ConfigInvalid, DegenerateCurve, NonPositiveInitialCurve
-from bondlab.market_model import q_brownian_increments
+from bondlab.market_model import (
+    CoefficientSchedule,
+    DriftCurve,
+    VolatilityOperator,
+    decaying_volatility_family,
+    humped_volatility,
+    q_brownian_increments,
+)
 
 from conftest import make_market, make_zero_vol_market
 
@@ -232,6 +243,15 @@ def test_rollover_rejects_contaminated_maturities(market):
         simulate_rollover(market["path"], 3.9)  # inside the truncation window
 
 
+def test_rollover_derivative_stencil_matches_gradient_bit_for_bit():
+    rng = np.random.default_rng(5)
+    values = rng.uniform(0.5, 1.5, size=(3, 4, 17))
+    dx = 0.0625
+    full = np.gradient(values, dx, axis=2, edge_order=2)
+    for j in range(1, 17):
+        assert dynamics._node_derivative(values, j, dx).tobytes() == full[..., j].tobytes()
+
+
 # --- undiscounting ---------------------------------------------------------------
 
 
@@ -386,3 +406,117 @@ def test_q_increment_equivalence_between_measures():
     q_path = simulate_mild(p0, schedule, config, measure="Q", gamma=gamma, keep_states=True)
     dw_q = q_brownian_increments(q_path.dw, gamma, config.dt)
     assert np.allclose(dw_q - q_path.dw, gamma[0] * config.dt, atol=1e-15)
+
+
+def test_nan_noise_is_reported_at_its_step_and_path():
+    grid = MaturityGrid(4.0, 65)
+    s = SobolevIndex(1)
+    p0, schedule, _ = make_market(grid)
+    config = _config(grid, s, n_steps=8, n_paths=12)
+    noise = brownian_increments(config, 1)
+    noise[9, 4, 0] = np.nan  # step 4 -> 5 of path 9
+    for block in (256, 4):  # the bad path in the only block, and in a later one
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dynamics, "_BLOCK_PATHS", block)
+            with pytest.raises(DegenerateCurve, match="step 5, path 9") as info:
+                simulate_mild(p0, schedule, config, noise=noise)
+        assert (info.value.step, info.value.path) == (5, 9)
+
+
+# --- properties of the blocked ensemble loop ------------------------------------------
+
+_PROP_GRID = MaturityGrid(4.0, 33)
+_PROP_S = SobolevIndex(1)
+_PROP_LOCATIONS = np.array([0.0, 0.3, 1.0, 2.5])
+_BY_TIME = ("spot", "value0", "observations", "states", "fill")  # (K+1, P, ...)
+_BY_PATH = ("dw", "terminal", "terminal_fill", "sup_norm_p", "sup_norm_q", "sup_norm_qinv")
+
+
+def _prop_schedule(n_factors: int, state_dependent: bool):
+    """Humped 1-factor or decaying_family 3-factor market, drift sigma gamma."""
+    grid = _PROP_GRID
+    if n_factors == 1:
+        sigma = VolatilityOperator((humped_volatility(grid, 0.01),))
+    else:
+        sigma = decaying_volatility_family(grid, 3, _PROP_S, weight_order=1.0)
+    gamma = np.linspace(0.2, -0.1, n_factors)
+    drift = Curve(grid, gamma @ sigma.values_matrix(), 0.0)
+    if not state_dependent:
+        return CoefficientSchedule("deterministic", lambda t, p: (DriftCurve(drift), sigma)), gamma
+
+    def sampler(t, p):
+        # volatility scaled by the path's own curve at x = 1
+        c = float(p.value_at(1.0))
+        factors = tuple(Curve(grid, c * f.g, c * f.a) for f in sigma.factors)
+        return DriftCurve(Curve(grid, c * drift.g, 0.0)), VolatilityOperator(factors)
+
+    return CoefficientSchedule("state-dependent", sampler), gamma
+
+
+def _prop_run(n_paths, seed, n_factors, measure, horizon, state_dependent=False):
+    schedule, gamma = _prop_schedule(n_factors, state_dependent)
+    config = SimConfig(
+        grid=_PROP_GRID, s=_PROP_S, horizon=horizon, n_steps=8, n_paths=n_paths, seed=seed
+    )
+    return simulate_mild(
+        flat_forward_curve(_PROP_GRID, 0.05),
+        schedule,
+        config,
+        measure=measure,
+        gamma=gamma,
+        keep_states=True,
+        record_norms=True,
+        record_locations=_PROP_LOCATIONS,
+    )
+
+
+_prop_cases = dict(
+    seed=st.integers(0, 2**32 - 1),
+    n_factors=st.sampled_from([1, 3]),
+    measure=st.sampled_from(["P", "Q"]),
+    horizon=st.sampled_from([0.8, 1.0]),  # fractional and whole-node shifts
+)
+
+
+@settings(max_examples=15, deadline=None)
+@given(n_paths=st.integers(1, 40), state_dependent=st.booleans(), **_prop_cases)
+def test_outputs_do_not_depend_on_block_size(n_paths, state_dependent, **case):
+    runs = []
+    for block in (1, 7, 64, 256):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dynamics, "_BLOCK_PATHS", block)
+            runs.append(_prop_run(n_paths, state_dependent=state_dependent, **case))
+    for run in runs[1:]:
+        for name in _BY_TIME + _BY_PATH:
+            assert getattr(run, name).tobytes() == getattr(runs[0], name).tobytes(), name
+
+
+@settings(max_examples=15, deadline=None)
+@given(n_paths=st.integers(2, 40), data=st.data(), **_prop_cases)
+def test_first_paths_equal_a_smaller_run(n_paths, data, **case):
+    m = data.draw(st.integers(1, n_paths - 1), label="m")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "_BLOCK_PATHS", 7)  # several blocks, on threads
+        full = _prop_run(n_paths, **case)
+        part = _prop_run(m, **case)
+    for name in _BY_TIME:
+        assert getattr(full, name)[:, :m].tobytes() == getattr(part, name).tobytes(), name
+    for name in _BY_PATH:
+        assert getattr(full, name)[:m].tobytes() == getattr(part, name).tobytes(), name
+
+
+def test_many_threads_with_frequent_switches_match_one_block():
+    # more pool threads than cores and a tiny switch interval, so blocks
+    # interleave as much as the interpreter allows
+    expected = _prop_run(40, seed=11, n_factors=3, measure="Q", horizon=0.8)
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dynamics, "_BLOCK_PATHS", 1)
+            mp.setattr(dynamics.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+            got = _prop_run(40, seed=11, n_factors=3, measure="Q", horizon=0.8)
+    finally:
+        sys.setswitchinterval(interval)
+    for name in _BY_TIME + _BY_PATH:
+        assert getattr(got, name).tobytes() == getattr(expected, name).tobytes(), name
