@@ -12,9 +12,10 @@ reproducible; with --fixed-order all statistical reductions use compensated
 fixed-order summation and outputs are byte-identical across runs. No
 timestamps or absolute paths appear in any artifact.
 
-Exit codes: 0 success, 2 validation error, 3 numerical failure. Failures
-print a machine-readable JSON payload to stdout and, when the output
-directory is usable, mirror it to error.json.
+Exit codes: 0 success, 2 validation error, 3 numerical failure (including
+numpy's LinAlgError). Failures print a machine-readable JSON payload to
+stdout and, when the output directory is usable, mirror it to error.json;
+an error that locates itself in the ensemble adds its step and path.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, kernels
-from .curve_space import Curve, MaturityGrid, SobolevIndex, atoms_value_matrix
+from .curve_space import Curve, MaturityGrid, SobolevIndex
 from .dynamics import (
     SimConfig,
     boundary_residual,
@@ -65,7 +66,7 @@ from .market_model import (
     solve_market_price_of_risk,
 )
 from .optimizer import mutual_fund_decompose, optimal_strategy_deterministic
-from .portfolio import ledger, strategy_from_spec, value_path
+from .portfolio import ledger, pairings, strategy_from_spec
 from .utility import Utility, log_utility
 
 __all__ = ["main"]
@@ -637,18 +638,6 @@ def _cmd_hedge(scn: dict, out: Path, fixed: bool) -> dict:
     return summary
 
 
-def _plan_identity_residual(plan, path) -> float:
-    """max |cash p_t(0) + sum_j w_j p_t(S_j) - Y_t| from the plan tables."""
-    K = path.n_steps
-    grid = path.config.grid
-    worst = 0.0
-    for k in range(K + 1):
-        p_at = atoms_value_matrix(plan.theta0.maturities, path.states[k], grid)
-        val = plan.cash[k] * path.value0[k] + np.einsum("pm,pm->p", plan.weights[k], p_at)
-        worst = max(worst, float(np.max(np.abs(val - plan.Y[k]))))
-    return worst
-
-
 def _cmd_optimize(scn: dict, out: Path, fixed: bool) -> dict:
     market = _Market(scn)
     if market.measure != "P":
@@ -698,7 +687,7 @@ def _cmd_optimize(scn: dict, out: Path, fixed: bool) -> dict:
                 plan.calibration.method,
                 plan.expected_utility,
                 _mean(plan.x_hat, fixed),
-                _plan_identity_residual(plan, path),
+                float(np.max(np.abs(pairings(plan.strategy, path).value - plan.Y))),
             ]
         )
     _write_csv(
@@ -721,8 +710,7 @@ def _cmd_optimize(scn: dict, out: Path, fixed: bool) -> dict:
     plan0 = plans[key0]
     led = ledger(plan0.strategy, path, market.schedule)
     led.to_csv(out / "ledger_optimal.csv")
-    wealth_audit = value_path(plan0.strategy, path)
-    identity_audit = float(np.max(np.abs(wealth_audit - plan0.Y)))
+    identity_audit = float(np.max(np.abs(led.wealth - plan0.Y)))
 
     M = plan0.theta0.maturities.shape[0]
     rows = []
@@ -981,6 +969,10 @@ def _emit_error(exc: Exception, out: Path | None) -> int:
         "message": str(exc),
         "exit_code": code,
     }
+    # where in the ensemble it failed, when the error knows (DegenerateCurve)
+    for key in ("step", "path"):
+        if getattr(exc, key, None) is not None:
+            payload[key] = getattr(exc, key)
     print(json.dumps(payload, sort_keys=True))
     if out is not None:
         try:
@@ -1048,6 +1040,10 @@ def main(argv=None) -> int:
         return 0
     except BondLabError as exc:
         return _emit_error(exc, out if args.command != "report" else None)
+    except np.linalg.LinAlgError as exc:
+        # a ValueError subclass, but raised by a failed solve, not by bad input
+        failure = NumericalFailure(f"LinAlgError: {exc}")
+        return _emit_error(failure, out if args.command != "report" else None)
     except (OSError, ValueError, TypeError, KeyError) as exc:
         return _emit_error(ValidationFailure(f"{type(exc).__name__}: {exc}"), None)
 

@@ -211,6 +211,25 @@ def hs_inner_samples(y1: np.ndarray, y2: np.ndarray, dx: float, s: int, axis: in
     return total
 
 
+def node_derivative(tap, j, n: int, dx: float):
+    """np.gradient(f, dx, edge_order=2) at node indices j, bit for bit.
+
+    Args:
+        tap: tap(i) returns f at node indices i (an array shaped like j), so
+            only the three nodes of each stencil are read and f never has to
+            exist in full (f may be a product of curves).
+        j: node index or array of node indices in [0, n).
+        n: number of grid nodes.
+    """
+    j = np.asarray(j)
+    lo = np.clip(j - 1, 0, n - 3)  # first node of the 3-node window
+    f0, f1, f2 = tap(lo), tap(lo + 1), tap(lo + 2)
+    interior = (f2 - f0) / (2.0 * dx)
+    first = (-1.5 / dx) * f0 + (2.0 / dx) * f1 + (-0.5 / dx) * f2
+    last = (0.5 / dx) * f0 + (-2.0 / dx) * f1 + (1.5 / dx) * f2
+    return np.where(j == 0, first, np.where(j == n - 1, last, interior))
+
+
 # --- dual pairing -------------------------------------------------------------
 
 

@@ -34,8 +34,10 @@ from .curve_space import (
     SobolevIndex,
     atoms_value_matrix,
     hs_inner_samples,
+    node_derivative,
+    translate,
 )
-from .errors import ConfigInvalid, DegenerateCurve, NonPositiveInitialCurve
+from .errors import AtomBeyondGrid, ConfigInvalid, DegenerateCurve, NonPositiveInitialCurve
 from .market_model import CoefficientSchedule, as_gamma_array
 
 __all__ = [
@@ -50,6 +52,7 @@ __all__ = [
     "forward_rate",
     "boundary_residual",
     "simulate_rollover",
+    "rollover_account",
     "undiscount_curve",
     "undiscount_path",
     "moment_diagnostic",
@@ -395,9 +398,7 @@ def simulate_mild(
     if record_norms:
         sup_p, sup_q, sup_qinv = np.empty(P), np.empty(P), np.empty(P)
         # L_t p0 on the nodes at every time
-        l_vals = [
-            np.interp(grid.nodes + float(t), grid.nodes, p0.g, right=0.0) + p0.a for t in times
-        ]
+        l_vals = [translate(p0, float(t)).values() for t in times]
 
     def record(k: int, cols: slice, states: np.ndarray, fill: np.ndarray) -> None:
         """Store time k's observables of the paths in cols."""
@@ -522,18 +523,41 @@ def boundary_residual(path: CurvePath) -> float:
     return float(np.max(np.abs(path.value0 - np.exp(-integral))))
 
 
-def _node_derivative(values: np.ndarray, j: int, dx: float) -> np.ndarray:
-    """np.gradient(values, dx, axis=-1, edge_order=2)[..., j], bit for bit.
+def rollover_account(states: np.ndarray, maturity: float, grid: MaturityGrid, dt: float):
+    """Bond value, forward rate and account of the rollover at time-to-maturity S.
 
-    Valid for nodes 1..n-1 (rollover maturities are at least dx). Reads only
-    the three nodes of node j's stencil instead of differentiating every node
-    of every curve.
+    Args:
+        states: (K+1, ..., N) node values along the time grid.
+
+    Returns:
+        (p_t(S), f_t(S), x_t), each shaped like states without the node axis,
+        with f_t(S) = -p_t'(S)/p_t(S) (derivative from the 3-node gradient
+        stencil) and x_t = exp(sum_{s<t} f_s(S) dt) (left-point sums).
+
+    Raises:
+        AtomBeyondGrid: S outside [0, x_max].
+        DegenerateCurve: p_t(S) <= 0 somewhere.
     """
-    n = values.shape[-1]
-    if j == n - 1:
-        a, b, c = 0.5 / dx, -2.0 / dx, 1.5 / dx
-        return a * values[..., n - 3] + b * values[..., n - 2] + c * values[..., n - 1]
-    return (values[..., j + 1] - values[..., j - 1]) / (2.0 * dx)
+    if not 0.0 <= maturity <= grid.x_max:
+        raise AtomBeyondGrid(f"rollover maturity {maturity} outside [0, {grid.x_max}]")
+    n, dx = grid.n_points, grid.dx
+    pos = maturity / dx
+    idx = min(int(pos), n - 2)
+    w = pos - idx
+
+    def tap(i):
+        return states[..., i]
+
+    p_at = (1.0 - w) * tap(idx) + w * tap(idx + 1)
+    dp_at = (1.0 - w) * node_derivative(tap, idx, n, dx) + w * node_derivative(
+        tap, idx + 1, n, dx
+    )
+    if np.any(p_at <= 0.0):
+        raise DegenerateCurve(f"p_t({maturity}) non-positive on some path")
+    fwd = -dp_at / p_at
+    log_x = np.zeros_like(fwd)
+    np.cumsum(fwd[:-1] * dt, axis=0, out=log_x[1:])
+    return p_at, fwd, np.exp(log_x)
 
 
 def simulate_rollover(path: CurvePath, maturity: float) -> RolloverPath:
@@ -554,20 +578,7 @@ def simulate_rollover(path: CurvePath, maturity: float) -> RolloverPath:
             f"rollover maturity {maturity} outside [{cfg.grid.dx}, "
             f"{cfg.grid.x_max - cfg.horizon}]"
         )
-    dx, dt = cfg.grid.dx, cfg.dt
-    pos = maturity / dx
-    idx = min(int(pos), cfg.grid.n_points - 2)
-    w = pos - idx
-    p_at = (1.0 - w) * path.states[:, :, idx] + w * path.states[:, :, idx + 1]
-    dp_at = (1.0 - w) * _node_derivative(path.states, idx, dx) + w * _node_derivative(
-        path.states, idx + 1, dx
-    )
-    if np.any(p_at <= 0.0):
-        raise DegenerateCurve(f"p_t({maturity}) non-positive on some path")
-    fwd = -dp_at / p_at
-    log_x = np.zeros_like(fwd)
-    np.cumsum(fwd[:-1] * dt, axis=0, out=log_x[1:])
-    account = np.exp(log_x)
+    p_at, fwd, account = rollover_account(path.states, maturity, cfg.grid, cfg.dt)
     return RolloverPath(
         times=cfg.times,
         maturity=maturity,

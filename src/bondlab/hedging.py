@@ -32,7 +32,6 @@ import numpy as np
 
 from .curve_space import (
     Curve,
-    DualAtom,
     SobolevIndex,
     atoms_value_matrix,
     multiply,
@@ -42,7 +41,7 @@ from .curve_space import (
 from .dynamics import CurvePath
 from .errors import ConfigInvalid, OutOfRange, ValidationFailure
 from .market_model import CoefficientSchedule, as_gamma_array, q_brownian_increments
-from .portfolio import PortfolioStrategy, _pair_batch, _strategy_atoms
+from .portfolio import Holdings, Strategy, pairings
 from .utility import Utility, conditional_coefficients
 
 __all__ = [
@@ -176,34 +175,16 @@ def default_atom_maturities(n_factors: int, grid, horizon: float, m: int | None 
 
 
 def integrand_from_strategy(
-    strategy: PortfolioStrategy, path: CurvePath, schedule: CoefficientSchedule
+    strategy: Strategy, path: CurvePath, schedule: CoefficientSchedule
 ) -> np.ndarray:
     """(K, P, n) volatility pairings x_k^i = <theta_k, p_k sigma_k^i>.
 
     These are the exact hedge targets of a claim defined as the strategy's
     terminal wealth; feeding them to complete_hedge closes the round trip.
     """
-    if path.states is None:
-        raise ConfigInvalid("integrand extraction needs keep_states=True")
     if not schedule.deterministic:
         raise ConfigInvalid("integrand extraction needs a deterministic schedule")
-    grid, s = path.config.grid, path.config.s
-    dx = grid.dx
-    K, P = path.n_steps, path.n_paths
-    per_step, per_path = _strategy_atoms(strategy, path)
-    n = schedule.at(0.0)[1].n_factors
-    out = np.empty((K, P, n))
-    for k in range(K):
-        _, sig_k = schedule.at(float(path.times[k]))
-        sig_vals = sig_k.values_matrix()
-        for i in range(n):
-            prod = path.states[k] * sig_vals[i][None, :]
-            if per_step is not None:
-                out[k, :, i] = _pair_batch(per_step[k], prod, grid, dx, s)
-            else:
-                for j in range(P):
-                    out[k, j, i] = _pair_batch(per_path[k][j], prod[j], grid, dx, s)
-    return out
+    return pairings(strategy, path, schedule).vol
 
 
 # --- Clark-Ocone closed forms ---------------------------------------------------
@@ -259,7 +240,7 @@ class HedgeResult:
     conditional_value: np.ndarray  # (K+1, P) V-bar_k
     gram_residual: np.ndarray  # (K, P)
     achieved: np.ndarray  # (K, P, n) targets A c actually met
-    strategy: PortfolioStrategy
+    strategy: Holdings  # cash at 0, then the atom basis; no risky atoms at step K
 
 
 def complete_hedge(
@@ -289,7 +270,7 @@ def complete_hedge(
             [0.5, x_max - T].
 
     Returns:
-        HedgeResult; `strategy` is ready for the portfolio ledger ops.
+        HedgeResult; `strategy` is its Holdings table, ready for the ledger.
 
     Raises:
         OutOfRange: an integrand is not attainable within eps_residual.
@@ -344,17 +325,9 @@ def complete_hedge(
             vbar[k + 1] = vbar[k] + np.einsum("pn,pn->p", targets, dw_q[:, k, :])
     cash[K] = vbar[K] / path.value0[K]
 
-    def builder(k: int, prefix) -> list[DualAtom]:
-        j = prefix.path_index
-        atoms = [DualAtom(0.0, float(cash[k, j]), 0)]
-        if k < K:
-            atoms.extend(
-                DualAtom(float(Sm), float(weights[k, j, m]), 0)
-                for m, Sm in enumerate(maturities)
-            )
-        return atoms
-
-    strategy = PortfolioStrategy("completed_hedge", builder, deterministic=False)
+    # the claim pays at T in cash: no bonds held at the last step
+    bonds = np.concatenate([weights, np.zeros((1, P, M))])
+    strategy = Holdings.cash_and_bonds("completed_hedge", cfg.grid, maturities, cash, bonds)
     return HedgeResult(
         atom_maturities=maturities,
         weights=weights,

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .curve_space import DualAtom, atoms_value_matrix
+from .curve_space import atoms_value_matrix, translate
 from .dynamics import CurvePath
 from .errors import (
     BracketFailure,
@@ -36,9 +36,9 @@ from .errors import (
     DecompositionFails,
     ValidationFailure,
 )
-from .hedging import HedgeOperators, conditional_wealth_tables
+from .hedging import HedgeOperators, conditional_wealth_tables, default_atom_maturities
 from .market_model import as_gamma_array, girsanov_log_path
-from .portfolio import PortfolioStrategy
+from .portfolio import Holdings
 from .utility import (
     Utility,
     exponential_utility,
@@ -181,21 +181,6 @@ class Theta0Portfolio:
     l_at: np.ndarray  # (K+1, M) (L_t p0)(S_j)
     condition_numbers: np.ndarray  # (K+1,)
 
-    def atoms_at(self, step: int) -> list[DualAtom]:
-        return [
-            DualAtom(float(S), float(w), 0)
-            for S, w in zip(self.maturities, self.weights[step])
-        ]
-
-
-def default_theta0_maturities(n_atoms: int, grid, horizon: float) -> np.ndarray:
-    hi = grid.x_max - horizon
-    if hi <= 0.5:
-        raise ValidationFailure(
-            f"grid end {grid.x_max} leaves no maturity window beyond horizon {horizon}"
-        )
-    return np.linspace(0.5, hi, n_atoms)
-
 
 def condition_C_portfolio(
     ops: HedgeOperators,
@@ -224,7 +209,7 @@ def condition_C_portfolio(
         raise ConfigInvalid(f"gamma_nodes shape {gamma_nodes.shape} != {(K1, n)}")
     horizon = float(times[-1])
     if maturities is None:
-        maturities = default_theta0_maturities(n, ops.grid, horizon)
+        maturities = default_atom_maturities(n, ops.grid, horizon, m=n)
     maturities = np.asarray(maturities, dtype=np.float64)
     M = maturities.shape[0]
     if M < n:
@@ -273,54 +258,23 @@ class OptimalPlan:
     weights: np.ndarray  # (K+1, P, M) atom weights of the risky leg
     x_hat: np.ndarray  # (P,) terminal wealth samples
     expected_utility: float
-    strategy: PortfolioStrategy
+    strategy: Holdings  # cash at 0, then theta0's maturities
 
     @property
     def lambda_hat(self) -> float:
         return self.calibration.lambda_hat
 
 
-def _gamma_at_nodes(gamma, n_steps: int, dt: float) -> np.ndarray:
-    """(K+1, n) gamma at the time nodes; a (K, n) schedule repeats its last row."""
-    if callable(gamma):
-        rows = [
-            np.atleast_1d(np.asarray(gamma(k * dt), dtype=np.float64))
-            for k in range(n_steps + 1)
-        ]
-        return np.stack(rows)
-    arr = np.atleast_1d(np.asarray(gamma, dtype=np.float64))
-    if arr.ndim == 1:
-        return np.broadcast_to(arr, (n_steps + 1, arr.shape[0])).copy()
-    if arr.shape[0] == n_steps + 1:
-        return arr.copy()
-    if arr.shape[0] == n_steps:
-        return np.vstack([arr, arr[-1][None, :]])
-    raise ValidationFailure(f"gamma schedule with {arr.shape[0]} rows on {n_steps} steps")
+def _plan_tables(name: str, maturities, theta0_weights, l_pair, l_at, Y, y, path):
+    """Atom weights, the cash completing V_t = Y_t and the plan's Holdings.
 
-
-def _plan_tables(theta0, Y, y, path, l_at):
-    """Atom weights and cash completing V_t = Y_t; shared by both regimes."""
-    K, P = path.n_steps, path.n_paths
-    M = theta0.maturities.shape[0]
-    p_at = np.empty((K + 1, P, M))
-    for k in range(K + 1):
-        p_at[k] = atoms_value_matrix(theta0.maturities, path.states[k], path.config.grid)
-    weights = y[:, :, None] * theta0.weights[:, None, :] * l_at[:, None, :] / p_at
-    cash = (Y - y * theta0.l_pair[:, None]) / path.value0
-    return weights, cash
-
-
-def _table_strategy(name: str, maturities: np.ndarray, weights: np.ndarray, cash: np.ndarray):
-    def builder(k: int, prefix) -> list[DualAtom]:
-        j = prefix.path_index
-        atoms = [DualAtom(0.0, float(cash[k, j]), 0)]
-        atoms.extend(
-            DualAtom(float(S), float(weights[k, j, m]), 0)
-            for m, S in enumerate(maturities)
-        )
-        return atoms
-
-    return PortfolioStrategy(name, builder, deterministic=False)
+    Shared by both regimes: theta0_weights is (K+1, M) or (M,) and y the
+    kernel weight scaling theta0 along each path.
+    """
+    p_at = atoms_value_matrix(maturities, path.states, path.config.grid)
+    weights = y[:, :, None] * theta0_weights[..., None, :] * l_at[:, None, :] / p_at
+    cash = (Y - y * l_pair[:, None]) / path.value0
+    return weights, cash, Holdings.cash_and_bonds(name, path.config.grid, maturities, cash, weights)
 
 
 def optimal_strategy_deterministic(
@@ -361,14 +315,26 @@ def optimal_strategy_deterministic(
             f"multiplier {cal.lambda_hat} not positive (sign flag set); "
             "budget sits at or beyond satiation for this family"
         )
-    theta0 = condition_C_portfolio(
-        ops, _gamma_at_nodes(gamma, K, dt), maturities, eps_rank
+    # gamma at the K+1 time nodes; a per-step schedule keeps its last row at T
+    gamma_nodes = (
+        as_gamma_array(gamma, K + 1, dt)
+        if callable(gamma)
+        else np.vstack([gamma_steps, gamma_steps[-1:]])
     )
+    theta0 = condition_C_portfolio(ops, gamma_nodes, maturities, eps_rank)
     Y, y = conditional_wealth_tables(u, cal.lambda_hat, gamma_steps, xi, dt)
-    weights, cash = _plan_tables(theta0, Y, y, path, theta0.l_at)
+    weights, cash, strategy = _plan_tables(
+        f"optimal_{u.family}",
+        theta0.maturities,
+        theta0.weights,
+        theta0.l_pair,
+        theta0.l_at,
+        Y,
+        y,
+        path,
+    )
     x_hat = Y[K].copy()
     expected_utility = float(np.mean(u.u(x_hat)))
-    strategy = _table_strategy(f"optimal_{u.family}", theta0.maturities, weights, cash)
     return OptimalPlan(
         utility=u,
         v=v,
@@ -436,7 +402,7 @@ class LogStochasticPlan:
     cash: np.ndarray
     weights: np.ndarray  # (K+1, P, M)
     ratio_target: np.ndarray  # (K+1, M) deterministic wealth fractions
-    strategy: PortfolioStrategy
+    strategy: Holdings  # cash at 0, then the maturities
 
 
 def optimal_strategy_log_stochastic(
@@ -471,10 +437,7 @@ def optimal_strategy_log_stochastic(
     w0 = np.ones(M) if theta0_weights is None else np.asarray(theta0_weights, dtype=np.float64)
 
     # l_t = L_t p0 is deterministic even here
-    nodes = grid.nodes
-    l_vals = np.empty((K + 1, grid.n_points))
-    for k, t in enumerate(path.times):
-        l_vals[k] = np.interp(nodes + float(t), nodes, path.p0.g, right=0.0) + path.p0.a
+    l_vals = np.stack([translate(path.p0, float(t)).values() for t in path.times])
     l_at = atoms_value_matrix(maturities, l_vals, grid)  # (K+1, M)
     l_pair = l_at @ w0
 
@@ -493,13 +456,10 @@ def optimal_strategy_log_stochastic(
     xi = np.exp(girsanov_log_path(gamma_paths, path.dw, cfg.dt))
     Y = (v / xi).T.copy()  # (K+1, P); for log utility y = Y
 
-    p_at = np.empty((K + 1, P, M))
-    for k in range(K + 1):
-        p_at[k] = atoms_value_matrix(maturities, path.states[k], grid)
-    weights = Y[:, :, None] * w0[None, None, :] * l_at[:, None, :] / p_at
-    cash = (Y - Y * l_pair[:, None]) / path.value0
+    weights, cash, strategy = _plan_tables(
+        "optimal_log_stochastic", maturities, w0, l_pair, l_at, Y, Y, path
+    )
     ratio_target = w0[None, :] * l_at
-    strategy = _table_strategy("optimal_log_stochastic", maturities, weights, cash)
     return LogStochasticPlan(
         theta0_weights=w0,
         maturities=maturities,

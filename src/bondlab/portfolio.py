@@ -1,38 +1,59 @@
 """Portfolios of dual atoms over a simulated curve ensemble.
 
-A strategy holds, at each step, a finite list of dual atoms (point holdings
-in bonds of given time-to-maturity, or derivative atoms). Wealth is the
+A strategy holds, at each step, a finite atom measure theta_k: point
+holdings in bonds of given time-to-maturity (cash is the point atom at 0)
+and derivative atoms. Every strategy is evaluated as one Holdings table of
+atom locations, orders and weights over all steps and paths. Wealth is the
 pairing V_t = <theta_t, p_t>; the gains process adds, per step,
 
     <theta_k, p_k m_k> dt + sum_i <theta_k, p_k sigma_k^i> dW_k^i
 
 with coefficients frozen at the left endpoint (matching the simulator).
-Self-financing is |V_t - V_0 - G_t| small over the whole grid; the residual
-is a diagnostic, not an enforcement, since discrete strategies are only
-self-financing up to O(dt).
+`pairings` computes the three pairings for every step and path at once;
+wealth, gains, ledgers, admissibility norms and hedge integrands are
+reductions of its output. Self-financing is |V_t - V_0 - G_t| small over
+the whole grid; the residual is a diagnostic, not an enforcement, since
+discrete strategies are only self-financing up to O(dt).
 
-Adaptedness is structural: builders receive a PathPrefix whose accessors
-refuse step indices beyond the current one, so a strategy cannot read the
-future without raising AdaptednessViolation.
+Strategies come in three forms, all turned into a table by `as_holdings`:
+a Holdings table itself (the hedge and the optimal plans), a TableStrategy
+that tabulates itself on a given ensemble (the spec legs), and a
+PortfolioStrategy whose builder is called step by step. Adaptedness of
+builders is structural: they receive a PathPrefix whose accessors refuse
+step indices beyond the current one, so a strategy cannot read the future
+without raising AdaptednessViolation.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .curve_space import Curve, DualAtom, SobolevIndex, atoms_value_matrix, pair
-from .dynamics import CurvePath
-from .errors import AdaptednessViolation, ConfigInvalid, ValidationFailure
+from .curve_space import Curve, DualAtom, MaturityGrid, SobolevIndex, node_derivative, pair
+from .dynamics import CurvePath, rollover_account
+from .errors import (
+    AdaptednessViolation,
+    AtomBeyondGrid,
+    ConfigInvalid,
+    GridMismatch,
+    OrderUnsupported,
+    ValidationFailure,
+)
 from .market_model import CoefficientSchedule
 
 __all__ = [
     "PathPrefix",
     "PortfolioStrategy",
+    "Holdings",
+    "TableStrategy",
+    "Strategy",
     "LedgerPath",
+    "Pairings",
+    "as_holdings",
+    "pairings",
     "value",
     "value_path",
     "gains",
@@ -108,6 +129,86 @@ class PortfolioStrategy:
     deterministic: bool = False
 
 
+@dataclass(frozen=True, eq=False)  # arrays: compare tables by identity
+class Holdings:
+    """Atom holdings of a strategy at every step of an ensemble.
+
+    Atom m has time-to-maturity locations[..., m], derivative order
+    orders[m] (0: point holding, 1: derivative atom) and weight
+    weights[..., m]; cash is the order-0 atom at 0. With K steps, P paths
+    and M atoms:
+
+        locations: (M,), (K+1, M) per step, or (K+1, P, M) per step and path
+        orders: (M,)
+        weights: (K+1, M) shared by all paths, or (K+1, P, M) per path
+
+    Per-path locations come only from user builders whose atoms differ
+    across paths. Construction validates once what pairing relies on:
+    locations finite and in [0, x_max] of `grid`, orders in {0, 1}, weights
+    finite.
+    """
+
+    name: str
+    grid: MaturityGrid
+    locations: np.ndarray
+    orders: np.ndarray
+    weights: np.ndarray
+
+    def __post_init__(self) -> None:
+        locations = np.asarray(self.locations, dtype=np.float64)
+        orders = np.asarray(self.orders)
+        weights = np.asarray(self.weights, dtype=np.float64)
+        if (
+            orders.ndim != 1
+            or weights.ndim not in (2, 3)
+            or locations.ndim > weights.ndim
+            or locations.shape[-1:] != orders.shape
+            or weights.shape[-1:] != orders.shape
+            or locations.shape[:-1] != weights.shape[: locations.ndim - 1]
+        ):
+            raise ConfigInvalid(
+                f"holdings shapes do not match: locations {locations.shape}, "
+                f"orders {orders.shape}, weights {weights.shape}"
+            )
+        if not np.all((orders == 0) | (orders == 1)):
+            raise OrderUnsupported(f"atom orders must be 0 or 1, got {np.unique(orders)}")
+        inside = (locations >= 0.0) & (locations <= self.grid.x_max)  # False at NaN
+        if not np.all(inside):
+            bad = locations[~inside][:3]
+            raise AtomBeyondGrid(f"atom locations {bad} outside [0, {self.grid.x_max}]")
+        if not np.all(np.isfinite(weights)):
+            raise AtomBeyondGrid("atom weights must be finite")
+        object.__setattr__(self, "locations", locations)
+        object.__setattr__(self, "orders", orders.astype(np.int64))
+        object.__setattr__(self, "weights", weights)
+
+    @classmethod
+    def cash_and_bonds(cls, name: str, grid: MaturityGrid, maturities, cash, weights):
+        """Cash (K+1, P) at 0, then (K+1, P, M) bonds at fixed maturities (M,)."""
+        return cls(
+            name=name,
+            grid=grid,
+            locations=np.concatenate([[0.0], maturities]),
+            orders=np.zeros(len(maturities) + 1, dtype=np.int64),
+            weights=np.concatenate([cash[:, :, None], weights], axis=2),
+        )
+
+
+@dataclass(frozen=True)
+class TableStrategy:
+    """Strategy given by a rule that tabulates its holdings on an ensemble.
+
+    table(path) returns the Holdings on path's time grid; the spec legs
+    (cash, zero-coupon, rollover, derivative atoms) are of this kind.
+    """
+
+    name: str
+    table: Callable[[CurvePath], Holdings]
+
+
+Strategy = Union[Holdings, TableStrategy, PortfolioStrategy]
+
+
 @dataclass
 class LedgerPath:
     """Wealth/gains bookkeeping for one strategy over an ensemble."""
@@ -146,139 +247,214 @@ def value(atoms: Sequence[DualAtom], p: Curve, s: SobolevIndex) -> float:
     return pair(atoms, p, s)
 
 
-# --- batched atom evaluation ---------------------------------------------------
+# --- holdings tables and batched pairings ----------------------------------------
 
 
-def _atoms_arrays(atoms: Sequence[DualAtom]):
-    locs = np.array([a.location for a in atoms])
-    weights = np.array([a.weight for a in atoms])
-    orders = np.array([a.order for a in atoms])
-    return locs, weights, orders
+def as_holdings(strategy: Strategy, path: CurvePath) -> Holdings:
+    """The Holdings table of any strategy on path's time grid.
 
-
-def _pair_batch(atoms: Sequence[DualAtom], values: np.ndarray, grid, dx: float, s: SobolevIndex):
-    """<theta, curve> against batched node values (..., N); orders mixed."""
-    if len(atoms) == 0:
-        return np.zeros(values.shape[:-1])
-    locs, weights, orders = _atoms_arrays(atoms)
-    out = 0.0
-    point = orders == 0
-    if np.any(point):
-        out = atoms_value_matrix(locs[point], values, grid) @ weights[point]
-    if np.any(~point):
-        if s.s < 2:
-            from .errors import OrderUnsupported
-
-            raise OrderUnsupported("derivative atoms require Sobolev order >= 2")
-        deriv = np.gradient(values, dx, axis=-1, edge_order=2)
-        out = out + atoms_value_matrix(locs[~point], deriv, grid) @ weights[~point]
-    return out
-
-
-def _strategy_atoms(strategy: PortfolioStrategy, path: CurvePath):
-    """Materialize atoms for every (step, path).
-
-    Returns (per_step, per_path) where per_step[k] is an atom list shared by
-    all paths (deterministic strategies) or per_path[k][j] is path j's list.
+    A Holdings passes through and a TableStrategy tabulates itself. A
+    PortfolioStrategy's builder is called through PathPrefix, once per step
+    when it is deterministic and once per (step, path) otherwise; each
+    step's atoms keep their order within each derivative order, and steps
+    or paths with fewer atoms are padded with zero weights.
     """
-    K, P = path.n_steps, path.n_paths
-    if strategy.deterministic:
-        per_step = [list(strategy.builder(k, PathPrefix(path, k, 0))) for k in range(K + 1)]
-        return per_step, None
-    per_path = [
-        [list(strategy.builder(k, PathPrefix(path, k, j))) for j in range(P)]
-        for k in range(K + 1)
-    ]
-    return None, per_path
-
-
-def value_path(strategy: PortfolioStrategy, path: CurvePath) -> np.ndarray:
-    """(K+1, P) wealth V_k = <theta_k, p_k> along the ensemble."""
     if path.states is None:
         raise ConfigInvalid("portfolio evaluation needs keep_states=True")
-    grid, s, dx = path.config.grid, path.config.s, path.config.grid.dx
-    K, P = path.n_steps, path.n_paths
-    per_step, per_path = _strategy_atoms(strategy, path)
-    V = np.empty((K + 1, P))
-    for k in range(K + 1):
-        if per_step is not None:
-            V[k] = _pair_batch(per_step[k], path.states[k], grid, dx, s)
+    if isinstance(strategy, Holdings):
+        return strategy
+    if isinstance(strategy, TableStrategy):
+        return strategy.table(path)
+    K = path.n_steps
+    paths = range(1) if strategy.deterministic else range(path.n_paths)
+    atoms = [
+        [list(strategy.builder(k, PathPrefix(path, k, j))) for j in paths] for k in range(K + 1)
+    ]
+    locs, weights, orders = [], [], []
+    for order in (0, 1):
+        sel = [[[a for a in row if a.order == order] for row in step] for step in atoms]
+        m = max(len(row) for step in sel for row in step)
+        loc, w = np.zeros((2, K + 1, len(paths), m))
+        for k, step in enumerate(sel):
+            for j, row in enumerate(step):
+                for i, a in enumerate(row):
+                    loc[k, j, i], w[k, j, i] = a.location, a.weight
+        locs.append(loc)
+        weights.append(w)
+        orders += [order] * m
+    loc, w = np.concatenate(locs, axis=2), np.concatenate(weights, axis=2)
+    if np.all(loc == loc[:, :1]):
+        loc = loc[:, 0]
+    if strategy.deterministic:
+        w = w[:, 0]
+    return Holdings(
+        name=strategy.name, grid=path.config.grid, locations=loc, orders=orders, weights=w
+    )
+
+
+class Pairings(NamedTuple):
+    """Pairings of a strategy with the ensemble; drift and vol need a schedule."""
+
+    value: np.ndarray  # (K+1, P) <theta_k, p_k>
+    drift: np.ndarray | None  # (K, P) <theta_k, p_k m_k>
+    vol: np.ndarray | None  # (K, P, n) <theta_k, p_k sigma_k^i>
+
+
+def _take(values: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """(N,) or (P, N) node values at (M,) or (P, M) node indices."""
+    if values.ndim == 2 and idx.ndim == 2:
+        return np.take_along_axis(values, idx, axis=1)
+    return values[..., idx]
+
+
+def _coefficient_rows(schedule: CoefficientSchedule, path: CurvePath, k: int) -> list:
+    """Node values of m_k, then of each sigma_k^i.
+
+    (N,) rows for a deterministic schedule; a state-dependent one is sampled
+    on every path's curve and stacked into (P, N).
+    """
+    t = float(path.times[k])
+
+    def rows(m, sig) -> list:
+        return [m.curve.values()] + [f.values() for f in sig.factors]
+
+    if schedule.deterministic:
+        return rows(*schedule.at(t))
+    per_path = (rows(*schedule.at(t, path.curve_at(k, j))) for j in range(path.n_paths))
+    return [np.stack(column) for column in zip(*per_path)]
+
+
+def _pair_step(p: np.ndarray, coeff, groups, n: int, dx: float) -> np.ndarray:
+    """(P,) pairings <theta_k, p_k c_k> of one step; c_k = 1 when coeff is None."""
+
+    def tap(i):
+        vals = _take(p, i)
+        return vals if coeff is None else vals * _take(coeff, i)
+
+    out = None
+    for order, idx, frac, w in groups:
+        if order == 0:
+            left, right = tap(idx), tap(idx + 1)
         else:
-            for j in range(P):
-                V[k, j] = _pair_batch(per_path[k][j], path.states[k, j], grid, dx, s)
-    return V
+            left, right = node_derivative(tap, idx, n, dx), node_derivative(tap, idx + 1, n, dx)
+        at = left * (1.0 - frac) + right * frac
+        if w.ndim == 1:
+            part = at @ w
+        else:
+            # contiguous rows: a strided BLAS dot product rounds differently
+            at = np.ascontiguousarray(at)
+            part = np.matmul(at[:, None, :], w[:, :, None])[:, 0, 0]
+        out = part if out is None else out + part
+    return np.zeros(p.shape[0]) if out is None else out
 
 
-def gains(
-    strategy: PortfolioStrategy, path: CurvePath, schedule: CoefficientSchedule
-) -> np.ndarray:
+def pairings(
+    strategy: Strategy, path: CurvePath, schedule: CoefficientSchedule | None = None
+) -> Pairings:
+    """Pairings of a strategy with every step and path of an ensemble.
+
+    Returns value <theta_k, p_k>; with a schedule also drift <theta_k, p_k
+    m_k> and vol <theta_k, p_k sigma_k^i> for k < K, coefficients frozen at
+    the left endpoint of each step. One loop over steps, vectorized over
+    paths. An order-0 atom reads the two nodes around it, an order-1 atom
+    the 3-node gradient stencils of those two nodes; p_k and the coefficient
+    rows are tapped there and only the taps are multiplied, which gives the
+    same floating-point operations as pairing with the full product curve
+    without building it. Weights shared by all paths contract by one
+    matrix-vector product per step, per-path weights by one dot product per
+    path.
+
+    Raises:
+        ConfigInvalid: states not retained, or a table of another ensemble.
+        GridMismatch: holdings tabulated on another grid.
+        OrderUnsupported: an order-1 atom while the Sobolev order s < 2.
+    """
+    hold = as_holdings(strategy, path)
+    grid = path.config.grid
+    if hold.grid != grid:
+        raise GridMismatch(f"holdings {hold.name!r} were tabulated on another grid")
+    K, P = path.n_steps, path.n_paths
+    if hold.weights.shape[:-1] not in ((K + 1,), (K + 1, P)):
+        raise ConfigInvalid(
+            f"holdings {hold.name!r} have weights {hold.weights.shape} on {K} steps, {P} paths"
+        )
+    if path.config.s.s < 2 and np.any(hold.orders == 1):
+        raise OrderUnsupported("derivative atoms require Sobolev order >= 2")
+    pos = hold.locations / grid.dx
+    if pos.ndim == 1:
+        pos = np.broadcast_to(pos, (K + 1,) + pos.shape)
+    idx = np.minimum(pos.astype(np.int64), grid.n_points - 2)
+    frac = pos - idx
+    groups = []
+    for order in (0, 1):
+        sel = hold.orders == order
+        if np.any(sel):
+            weights = np.ascontiguousarray(hold.weights[..., sel])
+            groups.append((order, idx[..., sel], frac[..., sel], weights))
+
+    value = np.empty((K + 1, P))
+    drift = vol = None
+    for k in range(K + 1):
+        step_groups = [(order, i[k], f[k], w[k]) for order, i, f, w in groups]
+        p = path.states[k]
+        value[k] = _pair_step(p, None, step_groups, grid.n_points, grid.dx)
+        if schedule is None or k == K:
+            continue
+        rows = _coefficient_rows(schedule, path, k)
+        if vol is None:
+            drift, vol = np.empty((K, P)), np.empty((K, P, len(rows) - 1))
+        drift[k] = _pair_step(p, rows[0], step_groups, grid.n_points, grid.dx)
+        for i, row in enumerate(rows[1:]):
+            vol[k, :, i] = _pair_step(p, row, step_groups, grid.n_points, grid.dx)
+    return Pairings(value, drift, vol)
+
+
+# --- wealth, gains and ledgers ----------------------------------------------------
+
+
+def value_path(strategy: Strategy, path: CurvePath) -> np.ndarray:
+    """(K+1, P) wealth V_k = <theta_k, p_k> along the ensemble."""
+    return pairings(strategy, path).value
+
+
+def _require_p(path: CurvePath) -> None:
+    if path.measure != "P":
+        raise ConfigInvalid(
+            "gains uses P-dynamics; for Q-ensembles accumulate against q_brownian_increments"
+        )
+
+
+def _accumulate_gains(pr: Pairings, path: CurvePath) -> np.ndarray:
+    """(K+1, P) gains: running sums of <theta, p m> dt + sum_i <theta, p sigma^i> dW^i."""
+    inc = pr.drift * path.config.dt
+    for i in range(pr.vol.shape[2]):
+        inc += pr.vol[:, :, i] * path.dw[:, :, i].T
+    return np.cumsum(np.concatenate([np.zeros((1, inc.shape[1])), inc]), axis=0)
+
+
+def gains(strategy: Strategy, path: CurvePath, schedule: CoefficientSchedule) -> np.ndarray:
     """(K+1, P) accumulated gains process of the strategy.
 
     The drift and volatility legs are paired against the product curves
     p_k m_k and p_k sigma_k^i (consistent with curve multiplication), frozen
     at the left endpoint of each step.
     """
-    if path.states is None:
-        raise ConfigInvalid("gains needs keep_states=True")
-    if path.measure != "P":
-        raise ConfigInvalid(
-            "gains uses P-dynamics; for Q-ensembles accumulate against q_brownian_increments"
-        )
-    grid, s = path.config.grid, path.config.s
-    dx, dt = grid.dx, path.config.dt
-    K, P = path.n_steps, path.n_paths
-    per_step, per_path = _strategy_atoms(strategy, path)
-    G = np.zeros((K + 1, P))
-    for k in range(K):
-        t = float(path.times[k])
-        increments = np.zeros(P)
-        if schedule.deterministic:
-            m_k, sig_k = schedule.at(t)
-            m_vals = m_k.curve.values()
-            sig_vals = sig_k.values_matrix()
-            drift_prod = path.states[k] * m_vals[None, :]
-            if per_step is not None:
-                increments += _pair_batch(per_step[k], drift_prod, grid, dx, s) * dt
-                for i in range(sig_vals.shape[0]):
-                    vol_prod = path.states[k] * sig_vals[i][None, :]
-                    increments += (
-                        _pair_batch(per_step[k], vol_prod, grid, dx, s) * path.dw[:, k, i]
-                    )
-            else:
-                for j in range(P):
-                    atoms = per_path[k][j]
-                    inc = _pair_batch(atoms, drift_prod[j], grid, dx, s) * dt
-                    for i in range(sig_vals.shape[0]):
-                        inc += _pair_batch(
-                            atoms, path.states[k, j] * sig_vals[i], grid, dx, s
-                        ) * path.dw[j, k, i]
-                    increments[j] = inc
-        else:
-            for j in range(P):
-                p_j = path.curve_at(k, j)
-                m_j, sig_j = schedule.at(t, p_j)
-                atoms = per_path[k][j] if per_path is not None else per_step[k]
-                vals_j = path.states[k, j]
-                inc = _pair_batch(atoms, vals_j * m_j.curve.values(), grid, dx, s) * dt
-                for i, f in enumerate(sig_j.factors):
-                    inc += _pair_batch(atoms, vals_j * f.values(), grid, dx, s) * path.dw[j, k, i]
-                increments[j] = inc
-        G[k + 1] = G[k] + increments
-    return G
+    _require_p(path)
+    return _accumulate_gains(pairings(strategy, path, schedule), path)
 
 
-def ledger(
-    strategy: PortfolioStrategy, path: CurvePath, schedule: CoefficientSchedule
-) -> LedgerPath:
+def ledger(strategy: Strategy, path: CurvePath, schedule: CoefficientSchedule) -> LedgerPath:
     """Wealth, gains, and per-path self-financing residual in one pass."""
-    V = value_path(strategy, path)
-    G = gains(strategy, path, schedule)
+    _require_p(path)
+    pr = pairings(strategy, path, schedule)
+    V = pr.value
+    G = _accumulate_gains(pr, path)
     residual = np.max(np.abs(V - V[0] - G), axis=0)
     return LedgerPath(strategy.name, path.times, V, G, residual)
 
 
 def self_financing_residual(
-    strategy: PortfolioStrategy, path: CurvePath, schedule: CoefficientSchedule
+    strategy: Strategy, path: CurvePath, schedule: CoefficientSchedule
 ) -> float:
     """sup over steps and paths of |V_t - V_0 - G_t|."""
     return ledger(strategy, path, schedule).max_residual
@@ -291,98 +467,79 @@ def self_financing_tolerance(led: LedgerPath, dt: float, factor: float = 10.0) -
 
 
 def admissibility_norm(
-    strategy: PortfolioStrategy, path: CurvePath, schedule: CoefficientSchedule
+    strategy: Strategy, path: CurvePath, schedule: CoefficientSchedule
 ) -> float:
     """Sample admissibility norm of the strategy.
 
     ||theta||^2 = E[(int |<theta, p m>| dt)^2] + E[int sum_i <theta, p sigma^i>^2 dt],
     both integrals left-point sums on the simulation grid.
     """
-    if path.states is None:
-        raise ConfigInvalid("admissibility_norm needs keep_states=True")
-    grid, s = path.config.grid, path.config.s
-    dx, dt = grid.dx, path.config.dt
-    K, P = path.n_steps, path.n_paths
-    per_step, per_path = _strategy_atoms(strategy, path)
-    drift_abs = np.zeros(P)
-    vol_sq = np.zeros(P)
-    for k in range(K):
-        t = float(path.times[k])
-        if schedule.deterministic:
-            m_k, sig_k = schedule.at(t)
-            if per_step is not None:
-                drift_prod = path.states[k] * m_k.curve.values()[None, :]
-                drift_abs += np.abs(_pair_batch(per_step[k], drift_prod, grid, dx, s)) * dt
-                for f in sig_k.factors:
-                    vol_prod = path.states[k] * f.values()[None, :]
-                    vol_sq += _pair_batch(per_step[k], vol_prod, grid, dx, s) ** 2 * dt
-            else:
-                m_vals = m_k.curve.values()
-                sig_list = [f.values() for f in sig_k.factors]
-                for j in range(P):
-                    atoms = per_path[k][j]
-                    drift_abs[j] += abs(_pair_batch(atoms, path.states[k, j] * m_vals, grid, dx, s)) * dt
-                    for sv in sig_list:
-                        vol_sq[j] += _pair_batch(atoms, path.states[k, j] * sv, grid, dx, s) ** 2 * dt
-        else:
-            for j in range(P):
-                p_j = path.curve_at(k, j)
-                m_j, sig_j = schedule.at(t, p_j)
-                atoms = per_path[k][j] if per_path is not None else per_step[k]
-                vals_j = path.states[k, j]
-                drift_abs[j] += abs(_pair_batch(atoms, vals_j * m_j.curve.values(), grid, dx, s)) * dt
-                for f in sig_j.factors:
-                    vol_sq[j] += _pair_batch(atoms, vals_j * f.values(), grid, dx, s) ** 2 * dt
+    pr = pairings(strategy, path, schedule)
+    dt = path.config.dt
+    drift_abs = np.sum(np.abs(pr.drift), axis=0) * dt
+    vol_sq = np.sum(pr.vol**2, axis=(0, 2)) * dt
     return float(np.sqrt(np.mean(drift_abs**2) + np.mean(vol_sq)))
 
 
 # --- strategy primitives -------------------------------------------------------
 
 
-def buy_and_hold_zero_coupon(maturity: float, weight: float = 1.0) -> PortfolioStrategy:
+def _leg(name: str, order: int, atom: Callable) -> TableStrategy:
+    """One-atom strategy; atom(path) gives its locations and weights per step."""
+
+    def table(path: CurvePath) -> Holdings:
+        locations, weights = atom(path)
+        return Holdings(
+            name=name, grid=path.config.grid, locations=locations, orders=[order], weights=weights
+        )
+
+    return TableStrategy(name, table)
+
+
+def _fixed_atom(name: str, location: float, order: int, weight: float) -> TableStrategy:
+    """weight units of one atom at a fixed time-to-maturity, every step."""
+    return _leg(name, order, lambda path: ([location], np.full((path.n_steps + 1, 1), weight)))
+
+
+def buy_and_hold_zero_coupon(maturity: float, weight: float = 1.0) -> TableStrategy:
     """Hold `weight` bonds maturing at calendar time `maturity`.
 
     At step k the holding is an atom at time-to-maturity maturity - t_k;
     self-financing up to O(dt) without rebalancing cash.
     """
 
-    def builder(k: int, prefix: PathPrefix) -> list[DualAtom]:
-        x = maturity - prefix.time
-        if x < 0.0:
-            raise ValidationFailure(
-                f"zero-coupon maturity {maturity} before current time {prefix.time}"
-            )
-        return [DualAtom(x, weight, 0)]
+    def atom(path: CurvePath):
+        x = maturity - path.times
+        if np.any(x < 0.0):
+            raise ValidationFailure(f"zero-coupon maturity {maturity} before the horizon")
+        return x[:, None], np.full((x.shape[0], 1), weight)
 
-    return PortfolioStrategy(f"zero_coupon {maturity}", builder, deterministic=True)
+    return _leg(f"zero_coupon {maturity}", 0, atom)
 
 
-def _rollover_strategy(maturity: float, weight: float) -> PortfolioStrategy:
+def _rollover_strategy(maturity: float, weight: float) -> TableStrategy:
     """Roll bonds at constant time-to-maturity S, reinvesting continuously.
 
     The holding at step k is x_k * delta_S with x_k = exp(sum_{j<k} f_j(S) dt)
-    accumulated from the path prefix (adapted by construction). Incremental
-    per-path memo keeps the construction O(1) per step.
+    the rollover account of each path (adapted by construction).
     """
-    memo: dict[int, tuple[int, float]] = {}
 
-    def builder(k: int, prefix: PathPrefix) -> list[DualAtom]:
-        from .dynamics import forward_rate
+    def atom(path: CurvePath):
+        _, _, account = rollover_account(path.states, maturity, path.config.grid, path.config.dt)
+        return [maturity], (weight * account)[:, :, None]
 
-        j = prefix.path_index
-        last_k, log_x = memo.get(j, (0, 0.0))
-        if k < last_k:  # replay from scratch when stepping backwards
-            last_k, log_x = 0, 0.0
-        dt = float(prefix._path.config.dt)
-        for step in range(last_k, k):
-            log_x += forward_rate(prefix.curve(step), maturity) * dt
-        memo[j] = (k, log_x)
-        return [DualAtom(maturity, weight * float(np.exp(log_x)), 0)]
-
-    return PortfolioStrategy(f"rollover {maturity}", builder, deterministic=False)
+    return _leg(f"rollover {maturity}", 0, atom)
 
 
-def strategy_from_spec(spec: dict | list) -> PortfolioStrategy:
+def _join(arrays: list) -> np.ndarray:
+    """Concatenate (M_i,) / (K+1, M_i) / (K+1, P, M_i) tables along atoms."""
+    ndim = max(a.ndim for a in arrays)
+    arrays = [a.reshape(a.shape[:-1] + (1,) * (ndim - a.ndim) + a.shape[-1:]) for a in arrays]
+    lead = np.broadcast_shapes(*(a.shape[:-1] for a in arrays))
+    return np.concatenate([np.broadcast_to(a, lead + a.shape[-1:]) for a in arrays], axis=-1)
+
+
+def strategy_from_spec(spec: dict | list) -> TableStrategy:
     """Build a strategy from its JSON description.
 
     A leg is {"kind": ..., "weight": w} with kind one of
@@ -390,44 +547,38 @@ def strategy_from_spec(spec: dict | list) -> PortfolioStrategy:
       "zero_coupon", "maturity" T : w bonds maturing at calendar time T
       "rollover", "maturity" S    : rolling account at time-to-maturity S
       "derivative_atom", "location" x : w * delta'_x
-    A list of legs combines them.
+    A list of legs combines them into one table, atoms in leg order.
     """
     legs = spec if isinstance(spec, list) else [spec]
-    parts: list[PortfolioStrategy] = []
+    parts: list[TableStrategy] = []
     for leg in legs:
         if not isinstance(leg, dict) or "kind" not in leg:
             raise ValidationFailure(f"strategy leg not understood: {leg!r}")
         kind = leg["kind"]
         w = float(leg.get("weight", 1.0))
         if kind == "cash":
-            parts.append(
-                PortfolioStrategy(
-                    "cash", lambda k, prefix, w=w: [DualAtom(0.0, w, 0)], deterministic=True
-                )
-            )
+            parts.append(_fixed_atom("cash", 0.0, 0, w))
         elif kind == "zero_coupon":
             parts.append(buy_and_hold_zero_coupon(float(leg["maturity"]), w))
         elif kind == "rollover":
             parts.append(_rollover_strategy(float(leg["maturity"]), w))
         elif kind == "derivative_atom":
             x = float(leg["location"])
-            parts.append(
-                PortfolioStrategy(
-                    f"derivative_atom {x}",
-                    lambda k, prefix, x=x, w=w: [DualAtom(x, w, 1)],
-                    deterministic=True,
-                )
-            )
+            parts.append(_fixed_atom(f"derivative_atom {x}", x, 1, w))
         else:
             raise ValidationFailure(f"unknown strategy kind {kind!r}")
     if len(parts) == 1:
         return parts[0]
-
-    def combined(k: int, prefix: PathPrefix) -> list[DualAtom]:
-        atoms: list[DualAtom] = []
-        for part in parts:
-            atoms.extend(part.builder(k, prefix))
-        return atoms
-
     name = "+".join(p.name for p in parts)
-    return PortfolioStrategy(name, combined, deterministic=all(p.deterministic for p in parts))
+
+    def table(path: CurvePath) -> Holdings:
+        tables = [part.table(path) for part in parts]
+        return Holdings(
+            name=name,
+            grid=path.config.grid,
+            locations=_join([t.locations for t in tables] or [np.zeros(0)]),
+            orders=np.concatenate([t.orders for t in tables] or [np.zeros(0, np.int64)]),
+            weights=_join([t.weights for t in tables] or [np.zeros((path.n_steps + 1, 0))]),
+        )
+
+    return TableStrategy(name, table)

@@ -16,8 +16,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bondlab.cli import main
+from bondlab.cli import _resolve_scenario, main
 
 
 def _scenario(**over) -> dict:
@@ -100,6 +102,47 @@ def test_resolved_scenario_makes_defaults_and_overrides_explicit(tmp_path):
     assert len(rows) == 16 * 2
     _, rows = _read_table(out / "curves.csv")
     assert len(rows) == (8 + 1) * 2
+
+
+_UTILITY_SPECS = st.one_of(
+    st.builds(lambda b: {"family": "log", "budget": b}, st.floats(0.5, 5.0)),
+    st.builds(
+        lambda family, mu: {"family": family, "mu": mu},
+        st.sampled_from(["power", "exponential", "quadratic"]),
+        st.floats(0.1, 0.9),
+    ),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    raw=st.fixed_dictionaries(
+        {},
+        optional={
+            "seed": st.integers(0, 2**31),
+            "paths": st.integers(1, 4096),
+            "steps": st.integers(1, 512),
+            "detail_paths": st.integers(1, 4096),
+            "measure": st.sampled_from(["P", "Q"]),
+            "rollover_maturity": st.floats(0.1, 2.0),
+            "utility": _UTILITY_SPECS,
+            "hedge": st.fixed_dictionaries(
+                {}, optional={"eps_rank": st.floats(1e-14, 1e-6), "weight_order": st.floats(0.0, 3.0)}
+            ),
+            "hjb": st.fixed_dictionaries(
+                {}, optional={"n_t": st.integers(10, 800), "w_min": st.floats(0.1, 1.0)}
+            ),
+        },
+    ),
+    overrides=st.fixed_dictionaries(
+        {key: st.none() | st.integers(1, 64) for key in ("seed", "paths", "steps")}
+    ),
+)
+def test_resolve_scenario_is_idempotent_on_its_output(raw, overrides):
+    # what resolved_scenario.json holds resolves to itself, overrides included
+    resolved = json.loads(json.dumps(_resolve_scenario(raw, overrides)))
+    again = json.loads(json.dumps(_resolve_scenario(json.loads(json.dumps(resolved)), {})))
+    assert again == resolved
 
 
 def test_fixed_order_reruns_are_byte_identical(tmp_path):
@@ -224,6 +267,39 @@ def test_hedge_out_of_range_claim_emits_structured_numerical_error(tmp_path, cap
     assert payload["error"] == "OutOfRange"
     assert payload["exit_code"] == 3
     assert "residual" in payload["message"]
+    assert json.loads((out / "error.json").read_text()) == payload
+
+
+def test_linalg_failure_in_hedge_exits_as_numerical_failure(tmp_path, capsys, monkeypatch):
+    import numpy as np
+
+    def broken_eigh(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", broken_eigh)
+    rc, out, _ = _run(tmp_path, "hedge", _scenario())
+    assert rc == 3
+    payload = _payload(capsys)
+    assert payload["exit_code"] == 3
+    assert "LinAlgError" in payload["message"]
+    assert json.loads((out / "error.json").read_text()) == payload
+
+
+def test_error_payload_carries_step_and_path_of_a_degenerate_curve(
+    tmp_path, capsys, monkeypatch
+):
+    import bondlab.cli as cli
+    from bondlab.errors import DegenerateCurve
+
+    def degenerate(*args, **kwargs):
+        raise DegenerateCurve("curve non-positive or NaN at x = 0", step=3, path=7)
+
+    monkeypatch.setattr(cli, "simulate_mild", degenerate)
+    rc, out, _ = _run(tmp_path, "simulate", _scenario())
+    assert rc == 3
+    payload = _payload(capsys)
+    assert payload["error"] == "DegenerateCurve"
+    assert (payload["step"], payload["path"]) == (3, 7)
     assert json.loads((out / "error.json").read_text()) == payload
 
 

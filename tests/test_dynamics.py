@@ -8,7 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bondlab import dynamics
-from bondlab.curve_space import Curve, MaturityGrid, SobolevIndex, atoms_value_matrix
+from bondlab.curve_space import (
+    Curve,
+    MaturityGrid,
+    SobolevIndex,
+    atoms_value_matrix,
+    node_derivative,
+)
 from bondlab.dynamics import (
     SimConfig,
     boundary_residual,
@@ -248,8 +254,21 @@ def test_rollover_derivative_stencil_matches_gradient_bit_for_bit():
     values = rng.uniform(0.5, 1.5, size=(3, 4, 17))
     dx = 0.0625
     full = np.gradient(values, dx, axis=2, edge_order=2)
-    for j in range(1, 17):
-        assert dynamics._node_derivative(values, j, dx).tobytes() == full[..., j].tobytes()
+
+    def tap(i):
+        return values[..., i]
+
+    for j in range(17):
+        assert node_derivative(tap, j, 17, dx).tobytes() == full[..., j].tobytes()
+    # per-path index arrays, as the batched pairing taps them
+    idx = rng.integers(0, 17, size=(4, 5))
+    rows = values[0]
+
+    def tap_rows(i):
+        return np.take_along_axis(rows, i, axis=1)
+
+    expected = np.take_along_axis(full[0], idx, axis=1)
+    assert node_derivative(tap_rows, idx, 17, dx).tobytes() == expected.tobytes()
 
 
 # --- undiscounting ---------------------------------------------------------------

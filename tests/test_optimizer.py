@@ -14,7 +14,7 @@ from bondlab.errors import (
     DecompositionFails,
     ValidationFailure,
 )
-from bondlab.hedging import gram_operators
+from bondlab.hedging import default_atom_maturities, gram_operators
 from bondlab.market_model import (
     CoefficientSchedule,
     DriftCurve,
@@ -25,7 +25,6 @@ from bondlab.optimizer import (
     LognormalTerminalLaw,
     calibrate_lambda,
     condition_C_portfolio,
-    default_theta0_maturities,
     mutual_fund_decompose,
     optimal_strategy_deterministic,
     optimal_strategy_log_stochastic,
@@ -273,10 +272,11 @@ def test_condition_c_failures(grid, s1):
 
 
 def test_default_theta0_maturities(grid):
-    mats = default_theta0_maturities(3, grid, 1.0)
+    # condition (C) uses one atom per factor: m = n
+    mats = default_atom_maturities(3, grid, 1.0, m=3)
     assert np.allclose(mats, [0.5, 1.75, 3.0])
     with pytest.raises(ValidationFailure):
-        default_theta0_maturities(2, grid, 3.6)
+        default_atom_maturities(2, grid, 3.6, m=2)
 
 
 # --- optimal strategy, deterministic gamma ------------------------------------------

@@ -1,21 +1,42 @@
 """Tests for portfolio valuation, gains, and self-financing accounting."""
 import csv
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bondlab.curve_space import Curve, DualAtom, MaturityGrid, SobolevIndex
+from bondlab.curve_space import Curve, DualAtom, MaturityGrid, SobolevIndex, multiply, pair
 from bondlab.dynamics import SimConfig, forward_rate, simulate_mild, simulate_rollover
-from bondlab.errors import AdaptednessViolation, ConfigInvalid, ValidationFailure
-from bondlab.market_model import q_brownian_increments
+from bondlab.errors import (
+    AdaptednessViolation,
+    AtomBeyondGrid,
+    ConfigInvalid,
+    OrderUnsupported,
+    ValidationFailure,
+)
+from bondlab.hedging import complete_hedge, gram_operators, integrand_from_strategy
+from bondlab.market_model import (
+    CoefficientSchedule,
+    DriftCurve,
+    VolatilityOperator,
+    constant_coefficients,
+    humped_volatility,
+    q_brownian_increments,
+)
+from bondlab.optimizer import optimal_strategy_deterministic
 from bondlab.portfolio import (
+    Holdings,
     PathPrefix,
     PortfolioStrategy,
     admissibility_norm,
+    as_holdings,
     buy_and_hold_zero_coupon,
     gains,
     ledger,
+    pairings,
     self_financing_residual,
     self_financing_tolerance,
     strategy_from_spec,
@@ -23,6 +44,7 @@ from bondlab.portfolio import (
     value_path,
 )
 
+from bondlab.utility import log_utility
 from conftest import make_market, make_zero_vol_market
 
 
@@ -340,3 +362,139 @@ def test_ledger_csv_schema(tmp_path, market):
     K1 = market["config"].n_steps + 1
     assert len(rows) == K1 * market["config"].n_paths
     assert float(rows[0]["V"]) == pytest.approx(led.wealth[0, 0])
+
+
+# --- holdings tables and batched pairings -------------------------------------------
+
+_SMALL_GRID = MaturityGrid(2.0, 33)
+
+
+@lru_cache(maxsize=None)
+def _two_factor_ensemble(state_dependent: bool):
+    """s = 2 ensemble, 2 factors; optionally volatility scaled by the state."""
+    grid = _SMALL_GRID
+    sig = (
+        humped_volatility(grid, 0.02, 1.0),
+        Curve(grid, 0.01 * grid.nodes**2 * np.exp(-grid.nodes), 0.0),
+    )
+    gamma = (0.3, -0.2)
+
+    def coefficients(scale: float):
+        factors = tuple(Curve(grid, scale * f.g, scale * f.a) for f in sig)
+        g = sum(gm * f.g for gm, f in zip(gamma, factors))
+        a = sum(gm * f.a for gm, f in zip(gamma, factors))
+        return DriftCurve(Curve(grid, g, a)), VolatilityOperator(factors)
+
+    if state_dependent:
+        schedule = CoefficientSchedule(
+            "state-dependent", lambda t, p: coefficients(1.0 + p.value_at(1.0))
+        )
+    else:
+        m, vol = coefficients(1.0)
+        schedule = constant_coefficients(m, vol)
+    config = SimConfig(grid=grid, s=SobolevIndex(2), horizon=0.5, n_steps=4, n_paths=3, seed=11)
+    p0 = Curve(grid, np.exp(-0.04 * grid.nodes) - 0.9, 0.9)
+    return simulate_mild(p0, schedule, config, keep_states=True), schedule
+
+
+@st.composite
+def _random_holdings(draw):
+    K1, P, x_max = 5, 3, _SMALL_GRID.x_max
+    m = draw(st.integers(1, 5))
+    orders = draw(st.lists(st.integers(0, 1), min_size=m, max_size=m))
+    # grid ends and nodes as well as interior points: every stencil branch
+    special = st.sampled_from([0.0, _SMALL_GRID.dx, 0.5 * _SMALL_GRID.dx, x_max, x_max - 0.01])
+    loc = st.one_of(special, st.floats(0.0, x_max))
+
+    def rows(element, n):
+        return st.lists(element, min_size=n, max_size=n)
+
+    locations = draw(rows(rows(loc, m), K1))
+    weights = draw(rows(rows(rows(st.floats(-3.0, 3.0, allow_subnormal=False), m), P), K1))
+    return Holdings(
+        name="random", grid=_SMALL_GRID, locations=locations, orders=orders, weights=weights
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(hold=_random_holdings(), state_dependent=st.booleans())
+def test_pairings_agree_with_reference_pair(hold, state_dependent):
+    path, schedule = _two_factor_ensemble(state_dependent)
+    s = path.config.s
+    pr = pairings(hold, path, schedule)
+    for k in range(path.n_steps + 1):
+        for j in range(path.n_paths):
+            atoms = [
+                DualAtom(float(x), float(w), int(o))
+                for x, w, o in zip(hold.locations[k], hold.weights[k, j], hold.orders)
+            ]
+            curve = path.curve_at(k, j)
+            targets = [(curve, pr.value[k, j])]
+            if k < path.n_steps:
+                m, sig = schedule.at(float(path.times[k]), curve)
+                targets.append((multiply(curve, m.curve), pr.drift[k, j]))
+                for i, factor in enumerate(sig.factors):
+                    targets.append((multiply(curve, factor), pr.vol[k, j, i]))
+            for f, got in targets:
+                # relative to the node values each atom reads: a derivative
+                # tap differences them over dx, and pair differentiates the
+                # grid part g where the batched taps difference g + a
+                size = float(np.max(np.abs(f.values())))
+                dx = path.config.grid.dx
+                scale = sum(abs(a.weight) * size / (dx if a.order else 1.0) for a in atoms)
+                assert abs(got - pair(atoms, f, s)) <= 1e-12 * scale
+
+
+def test_holdings_validate_once_at_construction(market):
+    grid = market["config"].grid
+    ok = dict(name="h", grid=grid, locations=[0.0, 1.0], orders=[0, 1], weights=np.ones((3, 2)))
+    Holdings(**ok)
+    with pytest.raises(AtomBeyondGrid):
+        Holdings(**dict(ok, locations=[0.0, grid.x_max + 0.5]))
+    with pytest.raises(AtomBeyondGrid):
+        Holdings(**dict(ok, locations=[0.0, np.nan]))
+    with pytest.raises(AtomBeyondGrid):
+        Holdings(**dict(ok, weights=np.array([[1.0, np.nan]] * 3)))
+    with pytest.raises(OrderUnsupported):
+        Holdings(**dict(ok, orders=[0, 2]))
+    with pytest.raises(ConfigInvalid):
+        Holdings(**dict(ok, weights=np.ones((3, 3))))
+
+
+def test_user_builders_become_tables(market):
+    path = market["path"]
+    # per-path weights, per-path locations and a step with fewer atoms
+    builder = PortfolioStrategy(
+        "user",
+        lambda k, prefix: [DualAtom(0.5 + 0.01 * prefix.path_index, prefix.boundary(k), 0)]
+        + ([DualAtom(1.0, 2.0, 0)] if k % 2 else []),
+    )
+    hold = as_holdings(builder, path)
+    assert hold.weights.shape == (path.n_steps + 1, path.n_paths, 2)
+    assert hold.locations.shape == hold.weights.shape
+    assert np.all(hold.weights[0, :, 1] == 0.0)
+    V = value_path(builder, path)
+    for k, j in ((0, 0), (3, 5), (64, 63)):
+        atoms = builder.builder(k, PathPrefix(path, k, j))
+        assert V[k, j] == pytest.approx(value(atoms, path.curve_at(k, j), path.config.s), rel=1e-12)
+
+
+def test_ledger_of_table_strategies_constructs_no_dual_atoms(market, monkeypatch):
+    path, schedule, config = market["path"], market["schedule"], market["config"]
+    target = buy_and_hold_zero_coupon(2.0)
+    integrands = integrand_from_strategy(target, path, schedule)
+    price0 = float(value_path(target, path)[0, 0])
+    ops = gram_operators(market["p0"], schedule, path.times, config.s)
+    made = []
+    original = DualAtom.__post_init__
+
+    def counting(self):
+        made.append(self)
+        original(self)
+
+    monkeypatch.setattr(DualAtom, "__post_init__", counting)
+    hedge = complete_hedge(ops, path, integrands, price0, gamma=market["gamma"])
+    plan = optimal_strategy_deterministic(log_utility(), 1.0, ops, path, market["gamma"])
+    for strategy in (hedge.strategy, plan.strategy):
+        ledger(strategy, path, schedule)
+    assert made == []
