@@ -13,7 +13,9 @@ fixed-order summation and outputs are byte-identical across runs. No
 timestamps or absolute paths appear in any artifact.
 
 Exit codes: 0 success, 2 validation error, 3 numerical failure (including
-numpy's LinAlgError). Failures print a machine-readable JSON payload to
+numpy's LinAlgError), 4 internal error (a ValueError, TypeError or KeyError
+raised by a verb outside its reading of the scenario: a program bug, whose
+traceback goes to stderr). Failures print a machine-readable JSON payload to
 stdout and, when the output directory is usable, mirror it to error.json;
 an error that locates itself in the ensemble adds its step and path.
 """
@@ -25,6 +27,8 @@ import hashlib
 import json
 import math
 import sys
+import traceback
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -70,6 +74,8 @@ from .portfolio import ledger, pairings, strategy_from_spec
 from .utility import Utility, log_utility
 
 __all__ = ["main"]
+
+_EXIT_INTERNAL = 4
 
 
 # --- scenario defaults ----------------------------------------------------------
@@ -177,6 +183,21 @@ def _utility_from_spec(spec: dict) -> Utility:
     return Utility(family, float(spec["mu"]))
 
 
+@contextmanager
+def _reading_scenario():
+    """Report a scenario entry that does not convert as ConfigInvalid (exit 2).
+
+    Verbs read their scenario entries inside this block; any other
+    ValueError, TypeError or KeyError a verb raises is a program bug.
+    """
+    try:
+        yield
+    except np.linalg.LinAlgError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigInvalid(f"scenario entry invalid: {type(exc).__name__}: {exc}") from exc
+
+
 # --- market construction --------------------------------------------------------
 
 
@@ -184,29 +205,27 @@ class _Market:
     """Resolved scenario turned into model objects."""
 
     def __init__(self, scn: dict):
-        try:
+        with _reading_scenario():
             grid_spec = scn["grid"]
             self.grid = MaturityGrid(float(grid_spec["x_max"]), int(grid_spec["n_points"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigInvalid(f"grid spec invalid: {exc}") from exc
-        self.s = SobolevIndex(int(scn["sobolev_order"]))
-        self.p0 = _initial_curve(scn["initial_curve"], self.grid)
-        self.sigma = _volatility(scn["volatility"], self.grid, self.s)
-        self.gamma, self.m, self.gamma_info = _drift(
-            scn["drift"], self.sigma, self.grid, self.s
-        )
-        self.schedule = constant_coefficients(self.m, self.sigma)
-        self.measure = str(scn["measure"])
-        if self.measure == "Q" and self.gamma is None:
-            raise ConfigInvalid("measure 'Q' needs a drift spec that provides gamma")
-        self.config = SimConfig(
-            grid=self.grid,
-            s=self.s,
-            horizon=float(scn["horizon"]),
-            n_steps=int(scn["steps"]),
-            n_paths=int(scn["paths"]),
-            seed=int(scn["seed"]),
-        )
+            self.s = SobolevIndex(int(scn["sobolev_order"]))
+            self.p0 = _initial_curve(scn["initial_curve"], self.grid)
+            self.sigma = _volatility(scn["volatility"], self.grid, self.s)
+            self.gamma, self.m, self.gamma_info = _drift(
+                scn["drift"], self.sigma, self.grid, self.s
+            )
+            self.schedule = constant_coefficients(self.m, self.sigma)
+            self.measure = str(scn["measure"])
+            if self.measure == "Q" and self.gamma is None:
+                raise ConfigInvalid("measure 'Q' needs a drift spec that provides gamma")
+            self.config = SimConfig(
+                grid=self.grid,
+                s=self.s,
+                horizon=float(scn["horizon"]),
+                n_steps=int(scn["steps"]),
+                n_paths=int(scn["paths"]),
+                seed=int(scn["seed"]),
+            )
 
     def simulate(self, n_paths=None, **kwargs):
         cfg = self.config
@@ -465,7 +484,10 @@ _SCHEMA = {
 def _cmd_simulate(scn: dict, out: Path, fixed: bool) -> dict:
     market = _Market(scn)
     cfg = market.config
-    maturities = np.asarray(scn["report_maturities"], dtype=np.float64)
+    with _reading_scenario():
+        maturities = np.asarray(scn["report_maturities"], dtype=np.float64)
+        rollover_maturity = float(scn["rollover_maturity"])
+        strategies = [strategy_from_spec(spec) for spec in scn["strategies"]]
     path = market.simulate(record_norms=True, record_locations=maturities)
 
     rows = []
@@ -495,7 +517,7 @@ def _cmd_simulate(scn: dict, out: Path, fixed: bool) -> dict:
 
     # per-path seeding makes the detail ensemble a prefix of the full one
     detail = market.simulate(n_paths=int(scn["detail_paths"]), keep_states=True)
-    roll = simulate_rollover(detail, float(scn["rollover_maturity"]))
+    roll = simulate_rollover(detail, rollover_maturity)
     rows = []
     for k, t in enumerate(roll.times):
         mw, sew = _mean_se(roll.wealth[k], fixed)
@@ -516,11 +538,10 @@ def _cmd_simulate(scn: dict, out: Path, fixed: bool) -> dict:
     )
 
     ledger_residuals = {}
-    if scn["strategies"]:
+    if strategies:
         if market.measure != "P":
             raise ConfigInvalid("strategy ledgers need measure 'P' (gains are P-dynamics)")
-        for i, spec in enumerate(scn["strategies"]):
-            strat = strategy_from_spec(spec)
+        for i, strat in enumerate(strategies):
             led = ledger(strat, detail, market.schedule)
             led.to_csv(out / f"ledger_{i}.csv")
             ledger_residuals[f"ledger_{i}"] = {
@@ -550,11 +571,13 @@ def _claim_from_spec(spec: dict, path, schedule, n_factors: int):
     kind = spec.get("kind")
     K, P = path.n_steps, path.n_paths
     if kind == "constant":
-        value = float(spec["value"])
+        with _reading_scenario():
+            value = float(spec["value"])
         X = np.full(P, value)
         return X, value, np.zeros((K, P, n_factors)), 0.0, "constant"
     if kind == "strategy_terminal":
-        strat = strategy_from_spec(spec["strategy"])
+        with _reading_scenario():
+            strat = strategy_from_spec(spec["strategy"])
         led = ledger(strat, path, schedule)
         integrands = integrand_from_strategy(strat, path, schedule)
         return led.wealth[K], led.wealth[0], integrands, led.max_residual, strat.name
@@ -576,15 +599,21 @@ def _cmd_hedge(scn: dict, out: Path, fixed: bool) -> dict:
         scn["claim"], path, market.schedule, n
     )
     hed = scn["hedge"]
+    with _reading_scenario():
+        eps_rank, eps_residual = float(hed["eps_rank"]), float(hed["eps_residual"])
+        weight_index = WeightedSequenceIndex(float(hed["weight_order"]))
+        atom_maturities = hed["atom_maturities"]
+        if atom_maturities is not None:
+            atom_maturities = np.asarray(atom_maturities, dtype=np.float64)
     result = complete_hedge(
         ops,
         path,
         integrands,
         price0,
         gamma=market.gamma,
-        atom_maturities=hed["atom_maturities"],
-        eps_rank=float(hed["eps_rank"]),
-        eps_residual=float(hed["eps_residual"]),
+        atom_maturities=atom_maturities,
+        eps_rank=eps_rank,
+        eps_residual=eps_residual,
     )
     led = ledger(result.strategy, path, market.schedule)
     err_prop = result.conditional_value[-1] - X
@@ -612,9 +641,7 @@ def _cmd_hedge(scn: dict, out: Path, fixed: bool) -> dict:
     _write_csv(
         out / "replication.csv", ["path", "claim", "value", "error", "ledger_error"], rows
     )
-    diag = weighted_condition_diagnostic(
-        ops.A, WeightedSequenceIndex(float(hed["weight_order"]))
-    )
+    diag = weighted_condition_diagnostic(ops.A, weight_index)
     _write_json(
         out / "spectrum.json",
         {
@@ -647,19 +674,22 @@ def _cmd_optimize(scn: dict, out: Path, fixed: bool) -> dict:
     cfg = market.config
     path = market.simulate(keep_states=True)
     ops = gram_operators(market.p0, market.schedule, cfg.times, market.s)
-    v = float(scn["utility"]["budget"])
-    maturities = scn["condition_c_maturities"]
-    if maturities is not None:
-        maturities = np.asarray(maturities, dtype=np.float64)
+    with _reading_scenario():
+        v = float(scn["utility"]["budget"])
+        maturities = scn["condition_c_maturities"]
+        if maturities is not None:
+            maturities = np.asarray(maturities, dtype=np.float64)
+        specs = [scn["utility"]] + [
+            dict(entry, budget=v) for entry in scn["comparison_utilities"]
+        ]
+        utilities = [_utility_from_spec(spec) for spec in specs]
 
-    specs = [scn["utility"]] + [
-        dict(entry, budget=v) for entry in scn["comparison_utilities"]
-    ]
     plans: dict[tuple, object] = {}
     rows = []
     seen = set()
-    for spec in specs:
-        u = _utility_from_spec(spec)
+    # condition C depends on ops, gamma and the maturities only: solve it once
+    theta0 = None
+    for spec, u in zip(specs, utilities):
         key = (u.family, None if u.family == "log" else u.mu)
         if key in seen:
             continue
@@ -667,7 +697,7 @@ def _cmd_optimize(scn: dict, out: Path, fixed: bool) -> dict:
         mu_out = float("nan") if u.family == "log" else u.mu
         try:
             plan = optimal_strategy_deterministic(
-                u, v, ops, path, market.gamma, maturities
+                u, v, ops, path, market.gamma, maturities, theta0=theta0
             )
         except (BudgetInfeasible, ConditionCFails) as exc:
             if spec is specs[0]:
@@ -678,6 +708,7 @@ def _cmd_optimize(scn: dict, out: Path, fixed: bool) -> dict:
             )
             continue
         plans[key] = plan
+        theta0 = plan.theta0
         rows.append(
             [
                 u.family,
@@ -705,7 +736,7 @@ def _cmd_optimize(scn: dict, out: Path, fixed: bool) -> dict:
         rows,
     )
 
-    u0 = _utility_from_spec(scn["utility"])
+    u0 = utilities[0]
     key0 = (u0.family, None if u0.family == "log" else u0.mu)
     plan0 = plans[key0]
     led = ledger(plan0.strategy, path, market.schedule)
@@ -732,7 +763,7 @@ def _cmd_optimize(scn: dict, out: Path, fixed: bool) -> dict:
     if fund_key not in plans:
         try:
             plans[fund_key] = optimal_strategy_deterministic(
-                log_utility(), v, ops, path, market.gamma, maturities
+                log_utility(), v, ops, path, market.gamma, maturities, theta0=theta0
             )
         except (BudgetInfeasible, ConditionCFails) as exc:
             mutual_fund["fund_error"] = f"{type(exc).__name__}: {exc}"
@@ -803,17 +834,21 @@ def _cmd_hjb(scn: dict, out: Path, fixed: bool) -> dict:
     market = _Market(scn)
     if market.gamma is None:
         raise ConfigInvalid("the HJB solver needs a drift spec that provides gamma")
-    u = _utility_from_spec(scn["utility"])
     spec = scn["hjb"]
+    with _reading_scenario():
+        u = _utility_from_spec(scn["utility"])
+        w_min, w_max = float(spec["w_min"]), float(spec["w_max"])
+        n_t, n_w = int(spec["n_t"]), int(spec["n_w"])
+        clamp_budget = float(spec["clamp_budget"])
     vg = solve_reduced_hjb(
         u,
         market.gamma,
         market.config.horizon,
-        float(spec["w_min"]),
-        float(spec["w_max"]),
-        int(spec["n_t"]),
-        int(spec["n_w"]),
-        clamp_budget=float(spec["clamp_budget"]),
+        w_min,
+        w_max,
+        n_t,
+        n_w,
+        clamp_budget=clamp_budget,
     )
     gamma = market.gamma
     n = gamma.shape[0]
@@ -962,8 +997,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit_error(exc: Exception, out: Path | None) -> int:
-    code = getattr(exc, "exit_code", 3 if isinstance(exc, NumericalFailure) else 2)
+def _emit_error(exc: Exception, out: Path | None, code: int | None = None) -> int:
+    if code is None:
+        code = getattr(exc, "exit_code", 3 if isinstance(exc, NumericalFailure) else 2)
     payload = {
         "error": type(exc).__name__,
         "message": str(exc),
@@ -1014,7 +1050,14 @@ def main(argv=None) -> int:
         out.mkdir(parents=True, exist_ok=True)
         _write_json(out / "resolved_scenario.json", scn)
         _write_json(out / "schema.json", _SCHEMA)
-        _COMMANDS[args.command](scn, out, args.fixed_order)
+        try:
+            _COMMANDS[args.command](scn, out, args.fixed_order)
+        except np.linalg.LinAlgError:
+            raise
+        except (ValueError, TypeError, KeyError) as exc:
+            # the scenario was resolved and read above: this is a program bug
+            traceback.print_exc()
+            return _emit_error(exc, out, code=_EXIT_INTERNAL)
 
         artifacts = {}
         for target in sorted(out.iterdir()):

@@ -283,10 +283,17 @@ def _exponent(dw: np.ndarray, sig: np.ndarray, base, out: np.ndarray) -> None:
     out += base
 
 
-def _norm_batch(values: np.ndarray, const: np.ndarray, dx: float, order: int) -> np.ndarray:
-    """Batched E^order norm of curves given node values and constant parts."""
-    g = values - const[:, None]
-    sq = hs_inner_samples(g, g, dx, order) + const * const
+def _norm_batch(
+    values: np.ndarray, const: np.ndarray, dx: float, order: int, scratch: np.ndarray
+) -> np.ndarray:
+    """E^order norms of the rows of values (node values) with constant parts const.
+
+    scratch is the block's (3, B, N) norm buffer: g = values - const goes to
+    scratch[0], the derivative levels to scratch[1:].
+    """
+    g = scratch[0]
+    np.subtract(values, const[:, None], out=g)
+    sq = hs_inner_samples(g, dx, order, scratch[1:]) + const * const
     return np.sqrt(np.maximum(sq, 0.0))
 
 
@@ -322,7 +329,7 @@ def simulate_mild(
         gamma: market price of risk (vector, (K, n) array, or callable).
         keep_states: retain the full (K+1, P, N) state array.
         record_norms: track sup_t of the E^{s+1} norms of p, q = p / L_t p0
-            and 1/q per path (costs a few extra passes per step).
+            and 1/q per path.
         record_locations: optional maturities at which p_t is recorded every
             step, giving (K+1, P, M) observations without keeping states.
 
@@ -400,8 +407,12 @@ def simulate_mild(
         # L_t p0 on the nodes at every time
         l_vals = [translate(p0, float(t)).values() for t in times]
 
-    def record(k: int, cols: slice, states: np.ndarray, fill: np.ndarray) -> None:
-        """Store time k's observables of the paths in cols."""
+    def record(k: int, cols: slice, states: np.ndarray, fill: np.ndarray, norm_buf) -> None:
+        """Store time k's observables of the paths in cols.
+
+        norm_buf is the block's (4, B, N) scratch for the norms: q, then the
+        three buffers of _norm_batch.
+        """
         spot[k, cols] = _spot_from_values(states, dx, step=k, first_path=cols.start)
         value0[k, cols] = states[:, 0]
         if keep_states:
@@ -411,23 +422,25 @@ def simulate_mild(
             observations[k, cols] = atoms_value_matrix(obs_loc, states, grid)
         if not record_norms:
             return
-        norm_p = _norm_batch(states, fill, dx, norm_order)
+        q, scratch = norm_buf[0], norm_buf[1:]
+        norm_p = _norm_batch(states, fill, dx, norm_order, scratch)
         if k == 0:
             sup_p[cols] = norm_p
-            sup_q[cols] = _norm_batch(np.ones_like(states), np.ones(len(fill)), dx, norm_order)
-            sup_qinv[cols] = sup_q[cols]
+            sup_q[cols] = 1.0  # q_0 = 1 has g = 0 and a = 1, so norm exactly 1
+            sup_qinv[cols] = 1.0
             return
         np.maximum(sup_p[cols], norm_p, out=sup_p[cols])
         if p0.a > 0.0:
-            q = states / l_vals[k][None, :]
+            np.divide(states, l_vals[k], out=q)
             aq = fill / p0.a
         else:
             # truncation tail is 0/0 where L_t p0 degenerates; pin q = 1 there
             valid = l_vals[k] > 1e-300
-            q = np.ones_like(states)
-            q[:, valid] = states[:, valid] / l_vals[k][valid]
+            np.divide(states, l_vals[k], out=q, where=valid)
+            q[:, ~valid] = 1.0
             aq = np.ones(len(fill))
-        bad = np.any(q <= 0.0, axis=1)
+        # a NaN-skipping row minimum flags the rows of np.any(q <= 0, axis=1)
+        bad = np.fmin.reduce(q, axis=1) <= 0.0
         if np.any(bad):
             path = cols.start + int(np.argmax(bad))
             raise DegenerateCurve(
@@ -435,8 +448,9 @@ def simulate_mild(
                 step=k,
                 path=path,
             )
-        np.maximum(sup_q[cols], _norm_batch(q, aq, dx, norm_order), out=sup_q[cols])
-        norm_qinv = _norm_batch(1.0 / q, 1.0 / aq, dx, norm_order)
+        np.maximum(sup_q[cols], _norm_batch(q, aq, dx, norm_order, scratch), out=sup_q[cols])
+        np.divide(1.0, q, out=q)
+        norm_qinv = _norm_batch(q, 1.0 / aq, dx, norm_order, scratch)
         np.maximum(sup_qinv[cols], norm_qinv, out=sup_qinv[cols])
 
     def run_block(cols: slice) -> None:
@@ -447,7 +461,8 @@ def simulate_mild(
         expo = np.empty_like(states)
         fill = np.full(len(states), p0.a)
         fill_expo = np.empty(len(states))
-        record(0, cols, states, fill)
+        norm_buf = np.empty((4,) + states.shape) if record_norms else None
+        record(0, cols, states, fill, norm_buf)
         for k in range(K):
             dwk = noise[cols, k, :]
             if schedule.deterministic:
@@ -472,7 +487,7 @@ def simulate_mild(
             fill = fill * np.exp(fill_expo)
             kernels.step_exp_shift(states, expo, fill, k0, frac, out)
             states, out = out, states
-            record(k + 1, cols, states, fill)
+            record(k + 1, cols, states, fill, norm_buf)
         terminal[cols] = states
         terminal_fill[cols] = fill
 

@@ -286,6 +286,7 @@ def optimal_strategy_deterministic(
     maturities: np.ndarray | None = None,
     calibration: CalibrationResult | None = None,
     eps_rank: float = 1e-10,
+    theta0: Theta0Portfolio | None = None,
 ) -> OptimalPlan:
     """Assemble the optimal strategy along a P-measure ensemble.
 
@@ -298,6 +299,9 @@ def optimal_strategy_deterministic(
         maturities: atom basis for theta0 (default: n equally spaced).
         calibration: reuse a previous calibration (e.g. to share lambda-hat
             across ensembles); must match u and v.
+        theta0: reuse the condition-C portfolio of a previous plan (e.g.
+            across utility families); must match ops, gamma, maturities and
+            eps_rank, which it replaces.
 
     Raises:
         BudgetInfeasible: calibrated multiplier not positive (quadratic
@@ -315,13 +319,14 @@ def optimal_strategy_deterministic(
             f"multiplier {cal.lambda_hat} not positive (sign flag set); "
             "budget sits at or beyond satiation for this family"
         )
-    # gamma at the K+1 time nodes; a per-step schedule keeps its last row at T
-    gamma_nodes = (
-        as_gamma_array(gamma, K + 1, dt)
-        if callable(gamma)
-        else np.vstack([gamma_steps, gamma_steps[-1:]])
-    )
-    theta0 = condition_C_portfolio(ops, gamma_nodes, maturities, eps_rank)
+    if theta0 is None:
+        # gamma at the K+1 time nodes; a per-step schedule keeps its last row at T
+        gamma_nodes = (
+            as_gamma_array(gamma, K + 1, dt)
+            if callable(gamma)
+            else np.vstack([gamma_steps, gamma_steps[-1:]])
+        )
+        theta0 = condition_C_portfolio(ops, gamma_nodes, maturities, eps_rank)
     Y, y = conditional_wealth_tables(u, cal.lambda_hat, gamma_steps, xi, dt)
     weights, cash, strategy = _plan_tables(
         f"optimal_{u.family}",

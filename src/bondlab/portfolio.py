@@ -26,7 +26,6 @@ without raising AdaptednessViolation.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence, Union
 
@@ -226,20 +225,15 @@ class LedgerPath:
     def to_csv(self, path) -> None:
         """Rows (path, t, V, G, residual) with full float precision."""
         defect = np.abs(self.wealth - self.wealth[0] - self.gains)
+        # the bytes csv.writer gave: no field needs quoting, rows end in \r\n
+        row = "{},{:.17g},{:.17g},{:.17g},{:.17g}\r\n".format
+        times = self.times.tolist()
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["path", "t", "V", "G", "residual"])
+            fh.write("path,t,V,G,residual\r\n")
             for j in range(self.wealth.shape[1]):
-                for k, t in enumerate(self.times):
-                    writer.writerow(
-                        [
-                            j,
-                            f"{t:.17g}",
-                            f"{self.wealth[k, j]:.17g}",
-                            f"{self.gains[k, j]:.17g}",
-                            f"{defect[k, j]:.17g}",
-                        ]
-                    )
+                columns = (self.wealth[:, j], self.gains[:, j], defect[:, j])
+                cells = zip(times, *(column.tolist() for column in columns))
+                fh.write("".join([row(j, *c) for c in cells]))
 
 
 def value(atoms: Sequence[DualAtom], p: Curve, s: SobolevIndex) -> float:

@@ -303,6 +303,56 @@ def test_error_payload_carries_step_and_path_of_a_degenerate_curve(
     assert json.loads((out / "error.json").read_text()) == payload
 
 
+def test_program_error_inside_a_verb_exits_as_internal_error(tmp_path, capsys, monkeypatch):
+    import bondlab.cli as cli
+
+    def broken(*args, **kwargs):
+        raise KeyError("missing_column")
+
+    monkeypatch.setattr(cli, "boundary_residual", broken)
+    rc, out, _ = _run(tmp_path, "simulate", _scenario())
+    assert rc == 4
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out.strip().splitlines()[-1])
+    assert payload["error"] == "KeyError"
+    assert payload["exit_code"] == 4
+    assert "missing_column" in payload["message"]
+    assert "Traceback" in captured.err and "broken" in captured.err
+    assert json.loads((out / "error.json").read_text()) == payload
+
+
+def test_malformed_scenario_entries_read_by_verbs_stay_validation_errors(tmp_path, capsys):
+    cases = [
+        ("simulate", _scenario(initial_curve={"kind": "flat_forward"})),  # no rate
+        ("simulate", _scenario(rollover_maturity="soon")),
+        ("simulate", _scenario(strategies=[{"kind": "zero_coupon"}])),  # no maturity
+        ("hedge", _scenario(hedge={"eps_rank": "small"})),
+        ("hjb", _scenario(hjb={"n_t": "many"})),
+    ]
+    for verb, scn in cases:
+        rc, _, _ = _run(tmp_path, verb, scn)
+        assert rc == 2, (verb, scn)
+        assert _payload(capsys)["error"] == "ConfigInvalid"
+
+
+def test_optimize_solves_condition_c_once_for_all_families(tmp_path, monkeypatch):
+    import bondlab.optimizer as optimizer
+
+    calls = []
+    solve = optimizer.condition_C_portfolio
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(optimizer, "condition_C_portfolio", counted)
+    rc, out, _ = _run(tmp_path, "optimize", _scenario())
+    assert rc == 0
+    _, rows = _read_table(out / "comparison.csv")
+    assert len(rows) == 4 and all(row[2] == "ok" for row in rows)
+    assert len(calls) == 1
+
+
 def test_hedge_rejects_q_measure_scenarios(tmp_path, capsys):
     rc, _, _ = _run(tmp_path, "hedge", _scenario(measure="Q"))
     assert rc == 2

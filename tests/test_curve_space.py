@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bondlab.curve_space import (
     Curve,
@@ -195,6 +197,36 @@ def test_translate_semigroup_law():
         one_step = translate(f, t + u)
         assert np.max(np.abs(two_step.values() - one_step.values())) <= tol
         assert two_step.a == one_step.a
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n_points=st.integers(4, 600),
+    x_max=st.floats(0.1, 20.0),
+    data=st.data(),
+)
+def test_translate_semigroup_on_whole_node_shifts(n_points, x_max, data):
+    grid = MaturityGrid(x_max, n_points)
+    i = data.draw(st.integers(0, n_points), label="i")
+    j = data.draw(st.integers(0, n_points), label="j")
+    g = np.asarray(
+        data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n_points, max_size=n_points)),
+        dtype=np.float64,
+    )
+    f = Curve(grid, g, data.draw(st.floats(-1.0, 1.0), label="a"))
+    s, t = i * grid.dx, j * grid.dx
+    two_step = translate(translate(f, s), t)
+    one_step = translate(f, s + t)
+    # both equal the node shift g[i + j:], zero-filled; a shift lands within
+    # a few ulps of a node, so interpolation may move a value by its slope
+    # times that distance
+    shifted = np.concatenate([g[i + j :], np.zeros(min(i + j, n_points))])
+    slope = np.max(np.abs(np.diff(g))) / grid.dx
+    tol = 64.0 * np.finfo(np.float64).eps * (np.max(np.abs(g)) + slope * x_max)
+    for out in (two_step, one_step):
+        assert out.a == f.a
+        assert np.max(np.abs(out.g - shifted)) <= tol
+    assert np.max(np.abs(two_step.g - one_step.g)) <= tol
 
 
 def test_translate_is_a_contraction_up_to_quadrature():

@@ -14,6 +14,7 @@ from bondlab.curve_space import (
     SobolevIndex,
     atoms_value_matrix,
     node_derivative,
+    translate,
 )
 from bondlab.dynamics import (
     SimConfig,
@@ -34,6 +35,7 @@ from bondlab.market_model import (
     CoefficientSchedule,
     DriftCurve,
     VolatilityOperator,
+    constant_coefficients,
     decaying_volatility_family,
     humped_volatility,
     q_brownian_increments,
@@ -389,6 +391,92 @@ def test_moment_diagnostic_ratio_bound(market):
     assert np.isfinite(a_emp)
     assert np.min(path.sup_norm_q) >= 1.0 / a_emp - 1e-12
     assert np.min(path.sup_norm_qinv) >= 1.0 / a_emp - 1e-12
+
+
+# --- norm diagnostic --------------------------------------------------------------
+
+_trapezoid = getattr(np, "trapezoid", None) or np.trapz
+
+
+def _reference_norms(values, const, dx, order):
+    """E^order norms along the last axis: np.gradient and one trapezoid per level."""
+    g = values - const[..., None]
+    total = _trapezoid(g * g, dx=dx, axis=-1)
+    d = g
+    for _ in range(order):
+        d = np.gradient(d, dx, axis=-1, edge_order=2)
+        total = total + _trapezoid(d * d, dx=dx, axis=-1)
+    return np.sqrt(np.maximum(total + const * const, 0.0))
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("tail", ["constant", "zero"])
+def test_recorded_sup_norms_match_the_gradient_trapezoid_reference(order, tail, monkeypatch):
+    grid = MaturityGrid(4.0, 65)
+    # a volatility with a constant part moves the constant part of p, so
+    # q and 1/q have constant parts other than 1
+    hump = humped_volatility(grid, 0.2)
+    sigma = Curve(grid, hump.g - 0.1, 0.1)  # vanishes at x = 0
+    drift = DriftCurve(Curve(grid, 0.2 * sigma.g, 0.2 * sigma.a))
+    schedule = constant_coefficients(drift, VolatilityOperator((sigma,)))
+    x = grid.nodes
+    if tail == "constant":
+        p0 = flat_forward_curve(grid, 0.05)
+    else:  # a = 0: L_t p0 vanishes on the truncation tail, where q is pinned to 1
+        p0 = Curve(grid, np.exp(-0.05 * x), 0.0)
+    config = SimConfig(
+        grid=grid, s=SobolevIndex(order), horizon=1.0, n_steps=16, n_paths=300, seed=3
+    )
+    # blocks of 256 and 44 paths, each on its own pool thread
+    monkeypatch.setattr(dynamics.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    path = simulate_mild(p0, schedule, config, keep_states=True, record_norms=True)
+
+    states, fill, dx = path.states, path.fill, grid.dx
+    l_vals = np.stack([translate(p0, float(t)).values() for t in config.times])[:, None, :]
+    if tail == "constant":
+        q, aq = states / l_vals, fill / p0.a
+    else:
+        valid = l_vals > 1e-300
+        q = np.where(valid, states / np.where(valid, l_vals, 1.0), 1.0)
+        aq = np.ones_like(fill)
+        assert not np.all(valid)
+    expected = {
+        "sup_norm_p": _reference_norms(states, fill, dx, order + 1),
+        "sup_norm_q": _reference_norms(q, aq, dx, order + 1),
+        "sup_norm_qinv": _reference_norms(1.0 / q, 1.0 / aq, dx, order + 1),
+    }
+    for name, norms in expected.items():
+        want = norms.max(axis=0)
+        got = getattr(path, name)
+        assert np.max(np.abs(got - want) / want) <= 1e-14, name
+
+
+@pytest.mark.parametrize("block", [256, 4])  # the bad path in the only block, or a later one
+def test_non_positive_q_is_reported_at_its_step_and_path(block, monkeypatch):
+    grid = MaturityGrid(4.0, 65)
+    p0, schedule, _ = make_market(grid)
+    config = _config(grid, SobolevIndex(1), n_steps=8, n_paths=12)
+    bad_step, bad_path = 5, 9
+    step = dynamics.kernels.step_exp_shift
+    calls = []
+
+    def poisoned(states, expo, fill, k0, frac, out):
+        # blocks run in order on one thread: call c is step c % K + 1 of block c // K
+        step(states, expo, fill, k0, frac, out)
+        c = len(calls)
+        calls.append(c)
+        first = (c // config.n_steps) * block
+        if c % config.n_steps + 1 == bad_step and first <= bad_path < first + len(states):
+            out[bad_path - first, 30] = 0.0  # x = 1.875, not x = 0
+
+    monkeypatch.setattr(dynamics, "_BLOCK_PATHS", block)
+    monkeypatch.setattr(dynamics.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(dynamics.kernels, "step_exp_shift", poisoned)
+    simulate_mild(p0, schedule, config)  # no norms: nothing checks q
+    calls.clear()
+    with pytest.raises(DegenerateCurve, match="q = p / L_t p0 non-positive") as info:
+        simulate_mild(p0, schedule, config, record_norms=True)
+    assert (info.value.step, info.value.path) == (bad_step, bad_path)
 
 
 # --- validation ------------------------------------------------------------------

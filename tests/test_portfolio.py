@@ -364,6 +364,23 @@ def test_ledger_csv_schema(tmp_path, market):
     assert float(rows[0]["V"]) == pytest.approx(led.wealth[0, 0])
 
 
+def test_ledger_csv_bytes_match_the_csv_writer(tmp_path, market):
+    led = ledger(_cash(), market["path"], market["schedule"])
+    led.wealth[3, 5] = -1.0 / 3.0  # a negative and a long value
+    target = tmp_path / "ledger.csv"
+    led.to_csv(target)
+    reference = tmp_path / "reference.csv"
+    defect = np.abs(led.wealth - led.wealth[0] - led.gains)
+    with open(reference, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["path", "t", "V", "G", "residual"])
+        for j in range(led.wealth.shape[1]):
+            for k, t in enumerate(led.times):
+                cells = (t, led.wealth[k, j], led.gains[k, j], defect[k, j])
+                writer.writerow([j] + [f"{c:.17g}" for c in cells])
+    assert target.read_bytes() == reference.read_bytes()
+
+
 # --- holdings tables and batched pairings -------------------------------------------
 
 _SMALL_GRID = MaturityGrid(2.0, 33)
@@ -443,6 +460,41 @@ def test_pairings_agree_with_reference_pair(hold, state_dependent):
                 dx = path.config.grid.dx
                 scale = sum(abs(a.weight) * size / (dx if a.order else 1.0) for a in atoms)
                 assert abs(got - pair(atoms, f, s)) <= 1e-12 * scale
+
+
+_COEFFICIENT = st.floats(-3.0, 3.0, allow_subnormal=False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    hold=_random_holdings(),
+    data=st.data(),
+    a=_COEFFICIENT,
+    b=_COEFFICIENT,
+    state_dependent=st.booleans(),
+)
+def test_pairings_are_linear_in_the_weights(hold, data, a, b, state_dependent):
+    path, schedule = _two_factor_ensemble(state_dependent)
+    w1 = hold.weights
+    w2 = np.asarray(
+        data.draw(st.lists(_COEFFICIENT, min_size=w1.size, max_size=w1.size), label="w2")
+    ).reshape(w1.shape)
+
+    def with_weights(weights):
+        return Holdings(
+            name="h", grid=hold.grid, locations=hold.locations, orders=hold.orders, weights=weights
+        )
+
+    combined = pairings(with_weights(a * w1 + b * w2), path, schedule)
+    first = pairings(hold, path, schedule)
+    second = pairings(with_weights(w2), path, schedule)
+    # every pairing is bounded by sum |w| |node value| / dx^order over the atoms
+    size = float(np.max(np.abs(path.states))) / path.config.grid.dx
+    scale = size * w1.shape[-1] * (abs(a) * np.max(np.abs(w1)) + abs(b) * np.max(np.abs(w2)))
+    for name in ("value", "drift", "vol"):
+        got = getattr(combined, name)
+        want = a * getattr(first, name) + b * getattr(second, name)
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(scale, 1e-300), name
 
 
 def test_holdings_validate_once_at_construction(market):
