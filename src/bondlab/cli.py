@@ -60,7 +60,7 @@ from .hedging import (
     integrand_from_strategy,
     weighted_condition_diagnostic,
 )
-from .hjb import solve_reduced_hjb
+from .hjb import closed_form_value, feedback_controls, solve_reduced_hjb
 from .market_model import (
     DriftCurve,
     VolatilityOperator,
@@ -71,7 +71,7 @@ from .market_model import (
 )
 from .optimizer import mutual_fund_decompose, optimal_strategy_deterministic
 from .portfolio import ledger, pairings, strategy_from_spec
-from .utility import Utility, log_utility
+from .utility import Utility, kernel_weight_of_wealth, log_utility
 
 __all__ = ["main"]
 
@@ -187,14 +187,15 @@ def _utility_from_spec(spec: dict) -> Utility:
 def _reading_scenario():
     """Report a scenario entry that does not convert as ConfigInvalid (exit 2).
 
-    Verbs read their scenario entries inside this block; any other
+    Verbs read their scenario entries inside this block; an AttributeError
+    here is an entry that is not the JSON object it should be. Any other
     ValueError, TypeError or KeyError a verb raises is a program bug.
     """
     try:
         yield
     except np.linalg.LinAlgError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigInvalid(f"scenario entry invalid: {type(exc).__name__}: {exc}") from exc
 
 
@@ -568,7 +569,8 @@ def _cmd_simulate(scn: dict, out: Path, fixed: bool) -> dict:
 
 def _claim_from_spec(spec: dict, path, schedule, n_factors: int):
     """Returns (X, price0, integrands, reference_residual, label)."""
-    kind = spec.get("kind")
+    with _reading_scenario():
+        kind = spec.get("kind")
     K, P = path.n_steps, path.n_paths
     if kind == "constant":
         with _reading_scenario():
@@ -778,18 +780,15 @@ def _cmd_optimize(scn: dict, out: Path, fixed: bool) -> dict:
                 mutual_fund[name] = {"ok": True, "residual": dec.residual}
             except DecompositionFails as exc:
                 mutual_fund[name] = {"ok": False, "message": str(exc)}
-        # rank-1 audit on stacked risky atoms over a path subsample
-        subset = range(min(cfg.n_paths, 32))
-        stack = [plans[key].weights for key in sorted(plans, key=str)]
+        # rank-1 audit on stacked risky atoms over a path subsample:
+        # (K+1, 32, plans, M), one batched SVD
+        stack = np.stack([plans[key].weights[:, :32] for key in sorted(plans, key=str)], axis=2)
         ratios = np.zeros(cfg.n_steps + 1)
-        for k in range(cfg.n_steps + 1):
-            worst = 0.0
-            for j in subset:
-                mat = np.stack([w[k, j] for w in stack])
-                sv = np.linalg.svd(mat, compute_uv=False)
-                if sv[0] > 0.0 and sv.shape[0] > 1:
-                    worst = max(worst, float(sv[1] / sv[0]))
-            ratios[k] = worst
+        if min(stack.shape[2:]) > 1:
+            sv = np.linalg.svd(stack, compute_uv=False)
+            top = sv[..., 0]
+            ratio = np.divide(sv[..., 1], top, out=np.zeros_like(top), where=top > 0.0)
+            ratios = np.max(ratio, axis=1, initial=0.0)
         _write_csv(
             out / "mutual_fund.csv",
             ["t", "max_sv_ratio"],
@@ -822,14 +821,6 @@ def _cmd_optimize(scn: dict, out: Path, fixed: bool) -> dict:
     return summary
 
 
-_DUAL_KERNEL = {
-    "log": lambda w, mu: w,
-    "power": lambda w, mu: w / (1.0 - mu),
-    "exponential": lambda w, mu: np.full_like(w, 1.0 / mu),
-    "quadratic": lambda w, mu: mu - w,
-}
-
-
 def _cmd_hjb(scn: dict, out: Path, fixed: bool) -> dict:
     market = _Market(scn)
     if market.gamma is None:
@@ -853,29 +844,18 @@ def _cmd_hjb(scn: dict, out: Path, fixed: bool) -> dict:
     gamma = market.gamma
     n = gamma.shape[0]
     w_int = vg.wealth[1:-1]
-    dw = vg.dw
-
-    def controls(layer: np.ndarray) -> np.ndarray:
-        fw = (layer[2:] - layer[:-2]) / (2.0 * dw)
-        fww = (layer[2:] - 2.0 * layer[1:-1] + layer[:-2]) / (dw * dw)
-        ratio = np.where(fww < 0.0, -fw / np.where(fww < 0.0, fww, -1.0), np.nan)
-        return ratio[:, None] * gamma[None, :]
-
+    all_controls = feedback_controls(vg, gamma)
     rows = []
-    all_controls = np.empty((vg.times.shape[0], w_int.shape[0], n))
     for k, t in enumerate(vg.times):
-        ctrl = controls(vg.F[k])
-        all_controls[k] = ctrl
         for iw, w in enumerate(w_int):
-            rows.append([float(t), float(w), vg.F[k, iw + 1]] + list(ctrl[iw]))
+            rows.append([float(t), float(w), vg.F[k, iw + 1]] + list(all_controls[k, iw]))
     _write_csv(
         out / "value_grid.csv",
         ["t", "w", "F"] + [f"xhat_{i}" for i in range(n)],
         rows,
     )
 
-    mu = u.mu
-    dual = _DUAL_KERNEL[u.family](w_int, mu)[:, None] * gamma[None, :]
+    dual = kernel_weight_of_wealth(u, w_int)[:, None] * gamma[None, :]
     errors = np.abs(all_controls - dual[None, :, :])
     max_err = float(np.nanmax(errors)) if errors.size else 0.0
     sample = np.unique(np.linspace(0, vg.times.shape[0] - 1, 33).astype(int))
@@ -896,15 +876,8 @@ def _cmd_hjb(scn: dict, out: Path, fixed: bool) -> dict:
         rows,
     )
 
-    closed_form_error = None
-    tail = np.zeros(vg.times.shape[0])
-    tail[:-1] = np.cumsum((vg.gamma_sq * vg.dt)[::-1])[::-1]
-    if u.family == "log":
-        exact = np.log(vg.wealth)[None, :] + 0.5 * tail[:, None]
-        closed_form_error = float(np.max(np.abs(vg.F - exact)))
-    elif u.family == "exponential":
-        exact = 1.0 - np.exp(-mu * vg.wealth[None, :] - 0.5 * tail[:, None]) / mu
-        closed_form_error = float(np.max(np.abs(vg.F - exact)))
+    exact = closed_form_value(u, vg)
+    closed_form_error = None if exact is None else float(np.max(np.abs(vg.F - exact)))
 
     summary = {
         "backend": kernels.backend_name(),

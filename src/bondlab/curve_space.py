@@ -24,7 +24,7 @@ import csv
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -255,6 +255,8 @@ def node_derivative(tap, j, n: int, dx: float):
         n: number of grid nodes.
     """
     j = np.asarray(j)
+    if ((j > 0) & (j < n - 1)).all():  # no edge stencil: skip building them
+        return (tap(j + 1) - tap(j - 1)) / (2.0 * dx)
     lo = np.clip(j - 1, 0, n - 3)  # first node of the 3-node window
     f0, f1, f2 = tap(lo), tap(lo + 1), tap(lo + 2)
     interior = (f2 - f0) / (2.0 * dx)
@@ -390,25 +392,57 @@ def curve_to_csv(f: Curve, path) -> None:
             writer.writerow([f"{x:.17g}", f"{v:.17g}"])
 
 
+def _take(values: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Node values at node indices: (M,) indices for every row, (P, M) one row each."""
+    if idx.ndim == 1 or values.ndim == 1:
+        return values[..., idx]
+    return np.take_along_axis(values, idx, axis=-1)
+
+
 def atoms_value_matrix(
-    locations: Sequence[float], values: np.ndarray, grid: MaturityGrid
+    locations, values: np.ndarray, grid: MaturityGrid, orders=None, coefficient=None
 ) -> np.ndarray:
-    """Evaluate batched node-value arrays at atom locations.
+    """Unit dual atoms paired with batched node-value arrays.
+
+    The one place where an atom location is turned into grid nodes: an
+    order-0 atom at x reads the two nodes around x and interpolates them
+    linearly; an order-1 atom interpolates, the same way, the 3-node
+    np.gradient(edge_order=2) stencils of those two nodes.
 
     Args:
-        locations: M evaluation points in [0, x_max].
-        values: (..., n_points) array of curve node values.
+        locations: (M,) points in [0, x_max] shared by every row of values,
+            or (P, M) points, one row per row of (P, N) values.
+        values: (..., N) curve node values.
         grid: the shared maturity grid.
+        orders: (M,) atom orders, 0 (point) or 1 (derivative); default all 0.
+        coefficient: optional node values c, a row (N,) or a stack
+            broadcasting against values. The atoms then read the product
+            curve f c: f and c are tapped at the same nodes and only the taps
+            are multiplied, the same floating-point operations as tapping the
+            product, which is never built.
 
     Returns:
-        (..., M) array of linearly interpolated values.
+        (..., M) atom values: values and coefficient broadcast together,
+        atoms last.
     """
     locs = np.asarray(locations, dtype=np.float64)
-    if np.any(locs < 0.0) or np.any(locs > grid.x_max):
+    if not ((locs >= 0.0) & (locs <= grid.x_max)).all():  # False at NaN
         raise AtomBeyondGrid(f"locations {locations} outside [0, {grid.x_max}]")
-    pos = locs / grid.dx
-    idx = np.minimum(pos.astype(np.int64), grid.n_points - 2)
+    n, dx = grid.n_points, grid.dx
+    pos = locs / dx
+    idx = np.minimum(pos.astype(np.int64), n - 2)
     w = pos - idx
-    left = values[..., idx]
-    right = values[..., idx + 1]
+
+    def tap(i):
+        f = _take(values, i)
+        return f if coefficient is None else f * _take(coefficient, i)
+
+    derivative = None if orders is None else np.asarray(orders) == 1
+    if derivative is None or not derivative.any():
+        left, right = tap(idx), tap(idx + 1)
+    else:
+        left, right = node_derivative(tap, idx, n, dx), node_derivative(tap, idx + 1, n, dx)
+        if not derivative.all():
+            left = np.where(derivative, left, tap(idx))
+            right = np.where(derivative, right, tap(idx + 1))
     return left * (1.0 - w) + right * w

@@ -34,10 +34,9 @@ from .curve_space import (
     SobolevIndex,
     atoms_value_matrix,
     hs_inner_samples,
-    node_derivative,
     translate,
 )
-from .errors import AtomBeyondGrid, ConfigInvalid, DegenerateCurve, NonPositiveInitialCurve
+from .errors import ConfigInvalid, DegenerateCurve, NonPositiveInitialCurve
 from .market_model import CoefficientSchedule, as_gamma_array
 
 __all__ = [
@@ -553,20 +552,8 @@ def rollover_account(states: np.ndarray, maturity: float, grid: MaturityGrid, dt
         AtomBeyondGrid: S outside [0, x_max].
         DegenerateCurve: p_t(S) <= 0 somewhere.
     """
-    if not 0.0 <= maturity <= grid.x_max:
-        raise AtomBeyondGrid(f"rollover maturity {maturity} outside [0, {grid.x_max}]")
-    n, dx = grid.n_points, grid.dx
-    pos = maturity / dx
-    idx = min(int(pos), n - 2)
-    w = pos - idx
-
-    def tap(i):
-        return states[..., i]
-
-    p_at = (1.0 - w) * tap(idx) + w * tap(idx + 1)
-    dp_at = (1.0 - w) * node_derivative(tap, idx, n, dx) + w * node_derivative(
-        tap, idx + 1, n, dx
-    )
+    p_at = atoms_value_matrix([maturity], states, grid)[..., 0]
+    dp_at = atoms_value_matrix([maturity], states, grid, orders=[1])[..., 0]
     if np.any(p_at <= 0.0):
         raise DegenerateCurve(f"p_t({maturity}) non-positive on some path")
     fwd = -dp_at / p_at

@@ -310,10 +310,9 @@ def complete_hedge(
         targets = c @ ops.A[k]
         achieved[k] = targets
         # per-path atom system rows: (p_k sigma^i)(S_j)
-        mat = np.empty((P, n, M))
-        for i in range(n):
-            prod = path.states[k] * ops.sigma_values[k][i][None, :]
-            mat[:, i, :] = atoms_value_matrix(maturities, prod, cfg.grid)
+        mat = atoms_value_matrix(
+            maturities, path.states[k][:, None, :], cfg.grid, coefficient=ops.sigma_values[k]
+        )
         w = (np.linalg.pinv(mat) @ targets[:, :, None])[:, :, 0]
         weights[k] = w
         p_at = atoms_value_matrix(maturities, path.states[k], cfg.grid)

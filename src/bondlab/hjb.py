@@ -34,16 +34,20 @@ from .errors import ConfigInvalid, DegenerateConcavity, ValidationFailure
 from .market_model import as_gamma_array
 from .utility import Utility
 
-__all__ = ["ValueGrid", "solve_reduced_hjb", "optimal_control_from_F"]
+__all__ = [
+    "ValueGrid",
+    "solve_reduced_hjb",
+    "optimal_control_from_F",
+    "feedback_controls",
+    "closed_form_value",
+]
 
 
-def _layer_slope(layer: np.ndarray, dw: float) -> np.ndarray:
-    """Second-order F_w at every node, one-sided at the edges."""
-    fw = np.empty_like(layer)
-    fw[1:-1] = (layer[2:] - layer[:-2]) / (2.0 * dw)
-    fw[0] = (-3.0 * layer[0] + 4.0 * layer[1] - layer[2]) / (2.0 * dw)
-    fw[-1] = (3.0 * layer[-1] - 4.0 * layer[-2] + layer[-3]) / (2.0 * dw)
-    return fw
+def _central_stencils(F: np.ndarray, dw: float) -> tuple[np.ndarray, np.ndarray]:
+    """Central F_w and F_ww at the interior wealth nodes (the last axis of F)."""
+    fw = (F[..., 2:] - F[..., :-2]) / (2.0 * dw)
+    fww = (F[..., 2:] - 2.0 * F[..., 1:-1] + F[..., :-2]) / dw**2
+    return fw, fww
 
 
 @dataclass
@@ -118,7 +122,7 @@ def solve_reduced_hjb(
         raise ConfigInvalid("terminal utility not finite on the wealth window")
 
     # curvature scale from the terminal layer
-    fww_T = (F[n_t, 2:] - 2.0 * F[n_t, 1:-1] + F[n_t, :-2]) / dw**2
+    fww_T = _central_stencils(F[n_t], dw)[1]
     eps = eps_curvature if eps_curvature is not None else 1e-8 * float(np.max(np.abs(fww_T)))
     if eps <= 0.0:
         raise DegenerateConcavity("terminal layer carries no curvature to march with")
@@ -132,8 +136,11 @@ def solve_reduced_hjb(
         remaining = dt
         taken = 0
         while remaining > 0.0:
-            fw = _layer_slope(layer, dw)
-            fww = (layer[2:] - 2.0 * layer[1:-1] + layer[:-2]) / dw**2
+            # second-order F_w at every node, one-sided at the edges
+            fw = np.empty_like(layer)
+            fw[1:-1], fww = _central_stencils(layer, dw)
+            fw[0] = (-3.0 * layer[0] + 4.0 * layer[1] - layer[2]) / (2.0 * dw)
+            fw[-1] = (3.0 * layer[-1] - 4.0 * layer[-2] + layer[-3]) / (2.0 * dw)
             small = np.abs(fww) < eps
             clamps += int(np.sum(small))
             updates += fww.shape[0]
@@ -190,8 +197,7 @@ def optimal_control_from_F(vg: ValueGrid, gamma_t: np.ndarray, t: float, w):
     wt = pos - k0
 
     def layer_ratio(layer: np.ndarray) -> np.ndarray:
-        fw = (layer[2:] - layer[:-2]) / (2.0 * vg.dw)
-        fww = (layer[2:] - 2.0 * layer[1:-1] + layer[:-2]) / vg.dw**2
+        fw, fww = _central_stencils(layer, vg.dw)
         fw_at = np.interp(w_arr, wealth[1:-1], fw)
         fww_at = np.interp(w_arr, wealth[1:-1], fww)
         if np.any(fww_at >= 0.0):
@@ -202,3 +208,30 @@ def optimal_control_from_F(vg: ValueGrid, gamma_t: np.ndarray, t: float, w):
     gamma_t = np.atleast_1d(np.asarray(gamma_t, dtype=np.float64))
     out = -gamma_t[:, None] * ratio[None, :]
     return out[:, 0] if scalar else out
+
+
+def feedback_controls(vg: ValueGrid, gamma: np.ndarray) -> np.ndarray:
+    """(Kt+1, Nw-2, n) controls x-hat^i = -gamma^i F_w / F_ww on the grid.
+
+    At the interior wealth nodes of every layer, from the central stencils;
+    NaN where F is not concave (F_ww >= 0).
+    """
+    fw, fww = _central_stencils(vg.F, vg.dw)
+    concave = fww < 0.0
+    ratio = np.where(concave, -fw / np.where(concave, fww, -1.0), np.nan)
+    return ratio[..., None] * gamma
+
+
+def closed_form_value(u: Utility, vg: ValueGrid) -> np.ndarray | None:
+    """(Kt+1, Nw) exact F on vg's nodes for log and exponential utility, else None.
+
+    With the tail sums h_t = sum_{s >= t} ||gamma_s||^2 dt (left-point):
+    log F = ln w + h_t / 2, exponential F = 1 - exp(-mu w - h_t / 2) / mu.
+    """
+    tail = np.zeros(vg.times.shape[0])
+    tail[:-1] = np.cumsum((vg.gamma_sq * vg.dt)[::-1])[::-1]
+    if u.family == "log":
+        return np.log(vg.wealth)[None, :] + 0.5 * tail[:, None]
+    if u.family == "exponential":
+        return 1.0 - np.exp(-u.mu * vg.wealth[None, :] - 0.5 * tail[:, None]) / u.mu
+    return None

@@ -38,7 +38,7 @@ from .errors import (
 )
 from .hedging import HedgeOperators, conditional_wealth_tables, default_atom_maturities
 from .market_model import as_gamma_array, girsanov_log_path
-from .portfolio import Holdings
+from .portfolio import Holdings, coefficient_rows
 from .utility import (
     Utility,
     exponential_utility,
@@ -450,14 +450,10 @@ def optimal_strategy_log_stochastic(
     n = schedule.at(0.0, path.p0)[1].n_factors
     gamma_paths = np.empty((P, K, n))
     for k in range(K):
-        t = float(path.times[k])
-        for j in range(P):
-            _, sig = schedule.at(t, path.curve_at(k, j))
-            for i, f in enumerate(sig.factors):
-                prod = l_vals[k] * f.values()
-                gamma_paths[j, k, i] = float(
-                    atoms_value_matrix(maturities, prod, grid) @ w0
-                )
+        sigma = np.stack(coefficient_rows(schedule, path, k)[1:])  # (n, N) or (n, P, N)
+        at = atoms_value_matrix(maturities, l_vals[k], grid, coefficient=sigma)
+        # one dot product per (factor, path): a matrix-vector product rounds differently
+        gamma_paths[:, k] = np.matmul(at[..., None, :], w0[:, None])[..., 0, 0].T
     xi = np.exp(girsanov_log_path(gamma_paths, path.dw, cfg.dt))
     Y = (v / xi).T.copy()  # (K+1, P); for log utility y = Y
 

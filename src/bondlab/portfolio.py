@@ -31,7 +31,7 @@ from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .curve_space import Curve, DualAtom, MaturityGrid, SobolevIndex, node_derivative, pair
+from .curve_space import Curve, DualAtom, MaturityGrid, SobolevIndex, atoms_value_matrix, pair
 from .dynamics import CurvePath, rollover_account
 from .errors import (
     AdaptednessViolation,
@@ -53,6 +53,7 @@ __all__ = [
     "Pairings",
     "as_holdings",
     "pairings",
+    "coefficient_rows",
     "value",
     "value_path",
     "gains",
@@ -294,14 +295,7 @@ class Pairings(NamedTuple):
     vol: np.ndarray | None  # (K, P, n) <theta_k, p_k sigma_k^i>
 
 
-def _take(values: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """(N,) or (P, N) node values at (M,) or (P, M) node indices."""
-    if values.ndim == 2 and idx.ndim == 2:
-        return np.take_along_axis(values, idx, axis=1)
-    return values[..., idx]
-
-
-def _coefficient_rows(schedule: CoefficientSchedule, path: CurvePath, k: int) -> list:
+def coefficient_rows(schedule: CoefficientSchedule, path: CurvePath, k: int) -> list:
     """Node values of m_k, then of each sigma_k^i.
 
     (N,) rows for a deterministic schedule; a state-dependent one is sampled
@@ -318,20 +312,11 @@ def _coefficient_rows(schedule: CoefficientSchedule, path: CurvePath, k: int) ->
     return [np.stack(column) for column in zip(*per_path)]
 
 
-def _pair_step(p: np.ndarray, coeff, groups, n: int, dx: float) -> np.ndarray:
+def _pair_step(p: np.ndarray, coeff, groups, grid: MaturityGrid) -> np.ndarray:
     """(P,) pairings <theta_k, p_k c_k> of one step; c_k = 1 when coeff is None."""
-
-    def tap(i):
-        vals = _take(p, i)
-        return vals if coeff is None else vals * _take(coeff, i)
-
     out = None
-    for order, idx, frac, w in groups:
-        if order == 0:
-            left, right = tap(idx), tap(idx + 1)
-        else:
-            left, right = node_derivative(tap, idx, n, dx), node_derivative(tap, idx + 1, n, dx)
-        at = left * (1.0 - frac) + right * frac
+    for locations, orders, w in groups:
+        at = atoms_value_matrix(locations, p, grid, orders, coeff)
         if w.ndim == 1:
             part = at @ w
         else:
@@ -350,13 +335,11 @@ def pairings(
     Returns value <theta_k, p_k>; with a schedule also drift <theta_k, p_k
     m_k> and vol <theta_k, p_k sigma_k^i> for k < K, coefficients frozen at
     the left endpoint of each step. One loop over steps, vectorized over
-    paths. An order-0 atom reads the two nodes around it, an order-1 atom
-    the 3-node gradient stencils of those two nodes; p_k and the coefficient
-    rows are tapped there and only the taps are multiplied, which gives the
-    same floating-point operations as pairing with the full product curve
-    without building it. Weights shared by all paths contract by one
-    matrix-vector product per step, per-path weights by one dot product per
-    path.
+    paths. The atoms of each derivative order read p_k, or the product of
+    p_k with a coefficient row, through curve_space.atoms_value_matrix,
+    which never builds the product curve. Weights shared by all paths
+    contract by one matrix-vector product per step, per-path weights by one
+    dot product per path.
 
     Raises:
         ConfigInvalid: states not retained, or a table of another ensemble.
@@ -374,32 +357,30 @@ def pairings(
         )
     if path.config.s.s < 2 and np.any(hold.orders == 1):
         raise OrderUnsupported("derivative atoms require Sobolev order >= 2")
-    pos = hold.locations / grid.dx
-    if pos.ndim == 1:
-        pos = np.broadcast_to(pos, (K + 1,) + pos.shape)
-    idx = np.minimum(pos.astype(np.int64), grid.n_points - 2)
-    frac = pos - idx
+    locations = hold.locations
+    if locations.ndim == 1:
+        locations = np.broadcast_to(locations, (K + 1,) + locations.shape)
     groups = []
     for order in (0, 1):
         sel = hold.orders == order
         if np.any(sel):
             weights = np.ascontiguousarray(hold.weights[..., sel])
-            groups.append((order, idx[..., sel], frac[..., sel], weights))
+            groups.append((locations[..., sel], hold.orders[sel], weights))
 
     value = np.empty((K + 1, P))
     drift = vol = None
     for k in range(K + 1):
-        step_groups = [(order, i[k], f[k], w[k]) for order, i, f, w in groups]
+        step_groups = [(loc[k], orders, w[k]) for loc, orders, w in groups]
         p = path.states[k]
-        value[k] = _pair_step(p, None, step_groups, grid.n_points, grid.dx)
+        value[k] = _pair_step(p, None, step_groups, grid)
         if schedule is None or k == K:
             continue
-        rows = _coefficient_rows(schedule, path, k)
+        rows = coefficient_rows(schedule, path, k)
         if vol is None:
             drift, vol = np.empty((K, P)), np.empty((K, P, len(rows) - 1))
-        drift[k] = _pair_step(p, rows[0], step_groups, grid.n_points, grid.dx)
+        drift[k] = _pair_step(p, rows[0], step_groups, grid)
         for i, row in enumerate(rows[1:]):
-            vol[k, :, i] = _pair_step(p, row, step_groups, grid.n_points, grid.dx)
+            vol[k, :, i] = _pair_step(p, row, step_groups, grid)
     return Pairings(value, drift, vol)
 
 

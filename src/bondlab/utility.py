@@ -37,6 +37,7 @@ __all__ = [
     "log_utility",
     "inverse_marginal",
     "conditional_coefficients",
+    "kernel_weight_of_wealth",
     "phi_closed_form",
     "lambda_closed_form",
     "concavity_gap",
@@ -197,6 +198,25 @@ def conditional_coefficients(u: Utility, lam: float, xi_t, h_t):
     if u.family == "exponential":
         Y = -(np.log(lam * xi) + 0.5 * h) / u.mu
         return Y, np.full_like(Y, 1.0 / u.mu)
+    raise UnsupportedUtility(f"no conditional kernel for family {u.family!r}")
+
+
+def kernel_weight_of_wealth(u: Utility, wealth):
+    """The Clark-Ocone weight y_t as a function of the optimal wealth Y_t.
+
+    conditional_coefficients with xi_t and h_t eliminated: y = Y (log),
+    Y / (1 - mu) (power), 1 / mu (exponential), mu - Y (quadratic). The
+    optimal control in feedback form is then x_t^i = gamma_t^i y_t.
+    """
+    w = np.asarray(wealth, dtype=np.float64)
+    if u.family == "log":
+        return w
+    if u.family == "power":
+        return w / (1.0 - u.mu)
+    if u.family == "exponential":
+        return np.full_like(w, 1.0 / u.mu)
+    if u.family == "quadratic":
+        return u.mu - w
     raise UnsupportedUtility(f"no conditional kernel for family {u.family!r}")
 
 

@@ -328,6 +328,10 @@ def test_malformed_scenario_entries_read_by_verbs_stay_validation_errors(tmp_pat
         ("simulate", _scenario(strategies=[{"kind": "zero_coupon"}])),  # no maturity
         ("hedge", _scenario(hedge={"eps_rank": "small"})),
         ("hjb", _scenario(hjb={"n_t": "many"})),
+        # entries that should be JSON objects but are not
+        ("hedge", _scenario(initial_curve=5)),
+        ("hedge", _scenario(claim=5)),
+        ("hedge", _scenario(volatility={"factors": [3]})),
     ]
     for verb, scn in cases:
         rc, _, _ = _run(tmp_path, verb, scn)

@@ -344,6 +344,63 @@ def test_atoms_value_matrix_matches_value_at():
         assert np.allclose(out[j], expected, rtol=1e-13, atol=1e-15)
     with pytest.raises(AtomBeyondGrid):
         atoms_value_matrix([4.5], values, grid)
+    with pytest.raises(AtomBeyondGrid):
+        atoms_value_matrix([np.nan], values, grid)
+
+
+def _interpolate_nodes(locations: np.ndarray, full: np.ndarray, grid: MaturityGrid):
+    """Reference: linear interpolation of whole node arrays at (M,) or (P, M) points."""
+    pos = locations / grid.dx
+    idx = np.minimum(pos.astype(np.int64), grid.n_points - 2)
+    w = pos - idx
+    if locations.ndim == 1:
+        left, right = full[..., idx], full[..., idx + 1]
+    else:
+        left = np.take_along_axis(full, idx, axis=-1)
+        right = np.take_along_axis(full, idx + 1, axis=-1)
+    return left * (1.0 - w) + right * w
+
+
+@pytest.mark.parametrize(
+    "layout, coefficient",
+    [(layout, c) for layout in ("shared", "per_path") for c in (None, "row", "per_path")]
+    + [("shared", "stack")],  # per-row locations take one row of values each
+)
+def test_atoms_value_matrix_taps_match_the_full_product_curve(layout, coefficient):
+    # reference: build the product curve, take np.gradient of it, interpolate
+    grid = MaturityGrid(3.0, 101)  # dx = 0.03: dividing by 2 dx differs from scaling by 0.5 / dx
+    N, P, M = grid.n_points, 5, 12
+    rng = np.random.default_rng(21)
+    values = rng.uniform(0.5, 1.5, size=(P, N))
+    coeff = {
+        None: None,
+        "row": rng.uniform(-1.0, 1.0, size=N),
+        "per_path": rng.uniform(-1.0, 1.0, size=(P, N)),
+        "stack": rng.uniform(-1.0, 1.0, size=(3, 1, N)),  # factors x paths
+    }[coefficient]
+    # both grid ends, the nodes next to them, and interior points
+    ends = [0.0, grid.x_max, grid.dx, grid.x_max - grid.dx]
+    base = np.concatenate([ends, rng.uniform(0.0, grid.x_max, size=M - len(ends))])
+    if layout == "shared":
+        locations = base
+    else:  # (P, M): per path, or per step for a stack of steps
+        locations = np.stack([rng.permutation(base) for _ in range(P)])
+    orders = rng.permutation([0, 1] * (M // 2))
+    full = values if coeff is None else values * coeff
+    gradient = np.gradient(full, grid.dx, axis=-1, edge_order=2)
+    expected = np.where(
+        orders == 1,
+        _interpolate_nodes(locations, gradient, grid),
+        _interpolate_nodes(locations, full, grid),
+    )
+    out = atoms_value_matrix(locations, values, grid, orders, coeff)
+    assert out.shape == expected.shape
+    assert out.tobytes() == expected.tobytes()
+    point = atoms_value_matrix(locations, values, grid, coefficient=coeff)
+    assert point.tobytes() == _interpolate_nodes(locations, full, grid).tobytes()
+    inner = np.clip(locations, 1.5 * grid.dx, grid.x_max - 1.5 * grid.dx)  # no edge stencil
+    slope = atoms_value_matrix(inner, values, grid, np.ones(M, np.int64), coeff)
+    assert slope.tobytes() == _interpolate_nodes(inner, gradient, grid).tobytes()
 
 
 def test_json_round_trip_is_exact():

@@ -273,6 +273,39 @@ def test_complete_hedge_cash_completion_identity(market):
         assert np.allclose(total, result.conditional_value[k], rtol=1e-10)
 
 
+def test_complete_hedge_matches_the_product_curve_atom_system(grid, s1):
+    # reference: the per-factor atom system read off whole (P, N) products
+    from bondlab.curve_space import atoms_value_matrix
+    from bondlab.dynamics import flat_forward_curve
+    from bondlab.market_model import q_brownian_increments
+
+    schedule = _two_factor_schedule(grid)
+    p0 = flat_forward_curve(grid, 0.05)
+    config = SimConfig(grid=grid, s=s1, horizon=1.0, n_steps=16, n_paths=12, seed=3)
+    path = simulate_mild(p0, schedule, config, keep_states=True)
+    ops = gram_operators(p0, schedule, path.times, s1)
+    integrands = integrand_from_strategy(buy_and_hold_zero_coupon(2.0), path, schedule)
+    gamma = np.array([0.1, 0.05])
+    result = complete_hedge(ops, path, integrands, 0.9, gamma=gamma)
+    S = result.atom_maturities
+    dw_q = q_brownian_increments(path.dw, gamma, config.dt)
+    vbar = np.full(path.n_paths, 0.9)
+    for k in range(path.n_steps):
+        c, _ = solve_hedge_step(ops, k, integrands[k])
+        targets = c @ ops.A[k]
+        mat = np.stack(
+            [atoms_value_matrix(S, path.states[k] * sig, grid) for sig in ops.sigma_values[k]],
+            axis=1,
+        )
+        w = (np.linalg.pinv(mat) @ targets[:, :, None])[:, :, 0]
+        p_at = atoms_value_matrix(S, path.states[k], grid)
+        cash = (vbar - np.sum(w * p_at, axis=1)) / path.value0[k]
+        assert result.weights[k].tobytes() == w.tobytes()
+        assert result.cash[k].tobytes() == cash.tobytes()
+        vbar = vbar + np.einsum("pn,pn->p", targets, dw_q[:, k, :])
+    assert result.conditional_value[-1].tobytes() == vbar.tobytes()
+
+
 def test_complete_hedge_validates_inputs(market):
     path, schedule = market["path"], market["schedule"]
     config = market["config"]

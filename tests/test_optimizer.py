@@ -529,6 +529,37 @@ def test_log_stochastic_state_dependent_scenario(grid, s1):
     assert np.max(np.abs(led.wealth[-1] * xi_T - v)) <= tol * float(np.max(xi_T))
 
 
+def test_log_stochastic_gamma_matches_the_per_path_loop(grid, s1):
+    # reference: pair theta0 with the whole product curve L_t p0 sigma_t^i,
+    # one (step, path, factor) at a time
+    from bondlab.curve_space import translate
+
+    p0 = flat_forward_curve(grid, 0.05)
+    f1, f2 = humped_volatility(grid, 0.1).values(), humped_volatility(grid, 0.05, 0.4).values()
+    idx_ref = int(round(1.0 / grid.dx))
+    zero = DriftCurve(Curve(grid, np.zeros(grid.n_points), 0.0))
+
+    def sampler(t, p):
+        level = float(p.g[idx_ref]) + p.a
+        factors = (Curve(grid, f1 * (1.0 + 4.0 * level), 0.0), Curve(grid, f2 / level, 0.0))
+        return zero, VolatilityOperator(factors)
+
+    schedule = CoefficientSchedule("state-dependent", sampler)
+    path = simulate_mild(p0, schedule, SimConfig(grid, s1, 1.0, 12, 9, 5), keep_states=True)
+    S, w0 = np.array([0.5, 1.25, 2.0]), np.array([0.5, -0.2, 1.0])
+    plan = optimal_strategy_log_stochastic(1.0, path, schedule, S, theta0_weights=w0)
+    expected = np.empty_like(plan.gamma_paths)
+    for k in range(path.n_steps):
+        l_vals = translate(p0, float(path.times[k])).values()
+        for j in range(path.n_paths):
+            _, sig = schedule.at(float(path.times[k]), path.curve_at(k, j))
+            for i, f in enumerate(sig.factors):
+                at = atoms_value_matrix(S, l_vals * f.values(), grid)
+                expected[j, k, i] = float(at @ w0)
+    assert np.ptp(expected[:, -1, 0]) > 0.0
+    assert plan.gamma_paths.tobytes() == expected.tobytes()
+
+
 def test_log_stochastic_validation(grid, market):
     path = market["path"]
     with pytest.raises(BudgetInfeasible):

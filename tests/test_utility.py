@@ -11,6 +11,7 @@ from bondlab.utility import (
     conditional_coefficients,
     exponential_utility,
     inverse_marginal,
+    kernel_weight_of_wealth,
     lambda_closed_form,
     log_utility,
     phi_closed_form,
@@ -149,6 +150,15 @@ def test_conditional_kernel_terminal_layer_is_pathwise_identity(u):
     lam = 0.7
     Y, _ = conditional_coefficients(u, lam, xi_T, 0.0)
     assert np.allclose(Y, u.inverse_marginal(lam * xi_T), rtol=1e-12)
+
+
+@pytest.mark.parametrize("u", ALL_FAMILIES, ids=lambda u: u.family)
+def test_kernel_weight_of_wealth_matches_the_conditional_kernels(u):
+    # y_t as a function of Y_t: the feedback form the HJB controls are checked against
+    rng = np.random.default_rng(45)
+    xi = np.exp(rng.normal(-0.02, 0.2, size=64))
+    Y, y = conditional_coefficients(u, 0.7, xi, 0.05)
+    assert np.allclose(kernel_weight_of_wealth(u, Y), y, rtol=1e-12)
 
 
 def test_conditional_kernel_requires_positive_multiplier():
