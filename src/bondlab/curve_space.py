@@ -255,8 +255,6 @@ def node_derivative(tap, j, n: int, dx: float):
         n: number of grid nodes.
     """
     j = np.asarray(j)
-    if ((j > 0) & (j < n - 1)).all():  # no edge stencil: skip building them
-        return (tap(j + 1) - tap(j - 1)) / (2.0 * dx)
     lo = np.clip(j - 1, 0, n - 3)  # first node of the 3-node window
     f0, f1, f2 = tap(lo), tap(lo + 1), tap(lo + 2)
     interior = (f2 - f0) / (2.0 * dx)
@@ -393,14 +391,18 @@ def curve_to_csv(f: Curve, path) -> None:
 
 
 def _take(values: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Node values at node indices: (M,) indices for every row, (P, M) one row each."""
+    """Node values at node indices: (M,) indices for every row, (P, M) one row each.
+
+    With (P, M) indices, (..., P, N) or (..., 1, N) values give (..., P, M): a
+    stack reads the same P rows of nodes, and a single row serves every path.
+    """
     if idx.ndim == 1 or values.ndim == 1:
         return values[..., idx]
-    return np.take_along_axis(values, idx, axis=-1)
+    return values[..., np.arange(values.shape[-2])[:, None], idx]
 
 
 def atoms_value_matrix(
-    locations, values: np.ndarray, grid: MaturityGrid, orders=None, coefficient=None
+    locations, values: np.ndarray, grid: MaturityGrid, order: int = 0, coefficient=None
 ) -> np.ndarray:
     """Unit dual atoms paired with batched node-value arrays.
 
@@ -412,14 +414,15 @@ def atoms_value_matrix(
     Args:
         locations: (M,) points in [0, x_max] shared by every row of values,
             or (P, M) points, one row per row of (P, N) values.
-        values: (..., N) curve node values.
+        values: (..., N) curve node values; with (P, M) locations, (..., P, N).
         grid: the shared maturity grid.
-        orders: (M,) atom orders, 0 (point) or 1 (derivative); default all 0.
+        order: order of every atom, 0 (point) or 1 (derivative).
         coefficient: optional node values c, a row (N,) or a stack
-            broadcasting against values. The atoms then read the product
-            curve f c: f and c are tapped at the same nodes and only the taps
-            are multiplied, the same floating-point operations as tapping the
-            product, which is never built.
+            broadcasting against values, (..., P, N) or (..., 1, N) with
+            (P, M) locations; e.g. (S, 1, N) against (P, N) values. The atoms
+            then read the product curve f c: f and c are tapped at the same
+            nodes and only the taps are multiplied, the same floating-point
+            operations as tapping the product, which is never built.
 
     Returns:
         (..., M) atom values: values and coefficient broadcast together,
@@ -437,12 +440,8 @@ def atoms_value_matrix(
         f = _take(values, i)
         return f if coefficient is None else f * _take(coefficient, i)
 
-    derivative = None if orders is None else np.asarray(orders) == 1
-    if derivative is None or not derivative.any():
+    if order == 0:
         left, right = tap(idx), tap(idx + 1)
     else:
         left, right = node_derivative(tap, idx, n, dx), node_derivative(tap, idx + 1, n, dx)
-        if not derivative.all():
-            left = np.where(derivative, left, tap(idx))
-            right = np.where(derivative, right, tap(idx + 1))
     return left * (1.0 - w) + right * w

@@ -553,7 +553,7 @@ def rollover_account(states: np.ndarray, maturity: float, grid: MaturityGrid, dt
         DegenerateCurve: p_t(S) <= 0 somewhere.
     """
     p_at = atoms_value_matrix([maturity], states, grid)[..., 0]
-    dp_at = atoms_value_matrix([maturity], states, grid, orders=[1])[..., 0]
+    dp_at = atoms_value_matrix([maturity], states, grid, order=1)[..., 0]
     if np.any(p_at <= 0.0):
         raise DegenerateCurve(f"p_t({maturity}) non-positive on some path")
     fwd = -dp_at / p_at

@@ -450,7 +450,7 @@ def optimal_strategy_log_stochastic(
     n = schedule.at(0.0, path.p0)[1].n_factors
     gamma_paths = np.empty((P, K, n))
     for k in range(K):
-        sigma = np.stack(coefficient_rows(schedule, path, k)[1:])  # (n, N) or (n, P, N)
+        sigma = coefficient_rows(schedule, path, k)[1:]  # (n, N) or (n, P, N)
         at = atoms_value_matrix(maturities, l_vals[k], grid, coefficient=sigma)
         # one dot product per (factor, path): a matrix-vector product rounds differently
         gamma_paths[:, k] = np.matmul(at[..., None, :], w0[:, None])[..., 0, 0].T

@@ -295,11 +295,10 @@ class Pairings(NamedTuple):
     vol: np.ndarray | None  # (K, P, n) <theta_k, p_k sigma_k^i>
 
 
-def coefficient_rows(schedule: CoefficientSchedule, path: CurvePath, k: int) -> list:
-    """Node values of m_k, then of each sigma_k^i.
+def coefficient_rows(schedule: CoefficientSchedule, path: CurvePath, k: int) -> np.ndarray:
+    """Node values of m_k, then of each sigma_k^i, stacked: (1 + n, N).
 
-    (N,) rows for a deterministic schedule; a state-dependent one is sampled
-    on every path's curve and stacked into (P, N).
+    A state-dependent schedule is sampled on every path's curve: (1 + n, P, N).
     """
     t = float(path.times[k])
 
@@ -307,24 +306,29 @@ def coefficient_rows(schedule: CoefficientSchedule, path: CurvePath, k: int) -> 
         return [m.curve.values()] + [f.values() for f in sig.factors]
 
     if schedule.deterministic:
-        return rows(*schedule.at(t))
-    per_path = (rows(*schedule.at(t, path.curve_at(k, j))) for j in range(path.n_paths))
-    return [np.stack(column) for column in zip(*per_path)]
+        return np.stack(rows(*schedule.at(t)))
+    return np.stack(
+        [rows(*schedule.at(t, path.curve_at(k, j))) for j in range(path.n_paths)], axis=1
+    )
 
 
 def _pair_step(p: np.ndarray, coeff, groups, grid: MaturityGrid) -> np.ndarray:
-    """(P,) pairings <theta_k, p_k c_k> of one step; c_k = 1 when coeff is None."""
+    """Pairings <theta_k, p_k c_k> of one step.
+
+    (P,) with c_k = 1 when coeff is None; (S, P) for a stack of S
+    coefficients, (S, 1, N) or (S, P, N).
+    """
     out = None
-    for locations, orders, w in groups:
-        at = atoms_value_matrix(locations, p, grid, orders, coeff)
+    for locations, order, w in groups:
+        at = atoms_value_matrix(locations, p, grid, order, coeff)
         if w.ndim == 1:
             part = at @ w
         else:
             # contiguous rows: a strided BLAS dot product rounds differently
             at = np.ascontiguousarray(at)
-            part = np.matmul(at[:, None, :], w[:, :, None])[:, 0, 0]
+            part = np.matmul(at[..., None, :], w[:, :, None])[..., 0, 0]
         out = part if out is None else out + part
-    return np.zeros(p.shape[0]) if out is None else out
+    return np.zeros(np.shape(coeff)[:1] + p.shape[:1]) if out is None else out
 
 
 def pairings(
@@ -335,11 +339,11 @@ def pairings(
     Returns value <theta_k, p_k>; with a schedule also drift <theta_k, p_k
     m_k> and vol <theta_k, p_k sigma_k^i> for k < K, coefficients frozen at
     the left endpoint of each step. One loop over steps, vectorized over
-    paths. The atoms of each derivative order read p_k, or the product of
-    p_k with a coefficient row, through curve_space.atoms_value_matrix,
-    which never builds the product curve. Weights shared by all paths
-    contract by one matrix-vector product per step, per-path weights by one
-    dot product per path.
+    paths. The atoms of each derivative order read p_k, and then in one more
+    call the products of p_k with the stacked rows of m_k and sigma_k^i,
+    through curve_space.atoms_value_matrix, which never builds a product
+    curve. Weights shared by all paths contract by one matrix-vector product
+    per row, per-path weights by one dot product per path and row.
 
     Raises:
         ConfigInvalid: states not retained, or a table of another ensemble.
@@ -365,12 +369,12 @@ def pairings(
         sel = hold.orders == order
         if np.any(sel):
             weights = np.ascontiguousarray(hold.weights[..., sel])
-            groups.append((locations[..., sel], hold.orders[sel], weights))
+            groups.append((locations[..., sel], order, weights))
 
     value = np.empty((K + 1, P))
     drift = vol = None
     for k in range(K + 1):
-        step_groups = [(loc[k], orders, w[k]) for loc, orders, w in groups]
+        step_groups = [(loc[k], order, w[k]) for loc, order, w in groups]
         p = path.states[k]
         value[k] = _pair_step(p, None, step_groups, grid)
         if schedule is None or k == K:
@@ -378,9 +382,8 @@ def pairings(
         rows = coefficient_rows(schedule, path, k)
         if vol is None:
             drift, vol = np.empty((K, P)), np.empty((K, P, len(rows) - 1))
-        drift[k] = _pair_step(p, rows[0], step_groups, grid)
-        for i, row in enumerate(rows[1:]):
-            vol[k, :, i] = _pair_step(p, row, step_groups, grid)
+        paired = _pair_step(p, rows if rows.ndim == 3 else rows[:, None], step_groups, grid)
+        drift[k], vol[k] = paired[0], paired[1:].T
     return Pairings(value, drift, vol)
 
 

@@ -356,16 +356,14 @@ def _interpolate_nodes(locations: np.ndarray, full: np.ndarray, grid: MaturityGr
     if locations.ndim == 1:
         left, right = full[..., idx], full[..., idx + 1]
     else:
+        idx = np.broadcast_to(idx, full.shape[:-1] + idx.shape[-1:])
         left = np.take_along_axis(full, idx, axis=-1)
         right = np.take_along_axis(full, idx + 1, axis=-1)
     return left * (1.0 - w) + right * w
 
 
-@pytest.mark.parametrize(
-    "layout, coefficient",
-    [(layout, c) for layout in ("shared", "per_path") for c in (None, "row", "per_path")]
-    + [("shared", "stack")],  # per-row locations take one row of values each
-)
+@pytest.mark.parametrize("layout", ["shared", "per_path"])
+@pytest.mark.parametrize("coefficient", [None, "row", "per_path", "stack", "path_stack"])
 def test_atoms_value_matrix_taps_match_the_full_product_curve(layout, coefficient):
     # reference: build the product curve, take np.gradient of it, interpolate
     grid = MaturityGrid(3.0, 101)  # dx = 0.03: dividing by 2 dx differs from scaling by 0.5 / dx
@@ -376,7 +374,8 @@ def test_atoms_value_matrix_taps_match_the_full_product_curve(layout, coefficien
         None: None,
         "row": rng.uniform(-1.0, 1.0, size=N),
         "per_path": rng.uniform(-1.0, 1.0, size=(P, N)),
-        "stack": rng.uniform(-1.0, 1.0, size=(3, 1, N)),  # factors x paths
+        "stack": rng.uniform(-1.0, 1.0, size=(3, 1, N)),  # factors x one row for all paths
+        "path_stack": rng.uniform(-1.0, 1.0, size=(3, P, N)),  # factors x paths
     }[coefficient]
     # both grid ends, the nodes next to them, and interior points
     ends = [0.0, grid.x_max, grid.dx, grid.x_max - grid.dx]
@@ -385,22 +384,13 @@ def test_atoms_value_matrix_taps_match_the_full_product_curve(layout, coefficien
         locations = base
     else:  # (P, M): per path, or per step for a stack of steps
         locations = np.stack([rng.permutation(base) for _ in range(P)])
-    orders = rng.permutation([0, 1] * (M // 2))
     full = values if coeff is None else values * coeff
     gradient = np.gradient(full, grid.dx, axis=-1, edge_order=2)
-    expected = np.where(
-        orders == 1,
-        _interpolate_nodes(locations, gradient, grid),
-        _interpolate_nodes(locations, full, grid),
-    )
-    out = atoms_value_matrix(locations, values, grid, orders, coeff)
-    assert out.shape == expected.shape
-    assert out.tobytes() == expected.tobytes()
-    point = atoms_value_matrix(locations, values, grid, coefficient=coeff)
-    assert point.tobytes() == _interpolate_nodes(locations, full, grid).tobytes()
-    inner = np.clip(locations, 1.5 * grid.dx, grid.x_max - 1.5 * grid.dx)  # no edge stencil
-    slope = atoms_value_matrix(inner, values, grid, np.ones(M, np.int64), coeff)
-    assert slope.tobytes() == _interpolate_nodes(inner, gradient, grid).tobytes()
+    for order, curve in ((0, full), (1, gradient)):
+        out = atoms_value_matrix(locations, values, grid, order, coeff)
+        expected = _interpolate_nodes(locations, curve, grid)
+        assert out.shape == expected.shape == full.shape[:-1] + (M,)
+        assert out.tobytes() == expected.tobytes()
 
 
 def test_json_round_trip_is_exact():
