@@ -1,14 +1,18 @@
-"""Build script: compiles the optional ensemble-step kernel.
+"""Build script: compiles the ensemble-step kernel extension.
 
-The package is pure Python plus one optional C extension. With Cython
-installed the extension is generated from `_kernels.pyx`; without it the
-shipped `_kernels.c` is compiled directly. If numpy's headers or a C compiler
-are unavailable the extension is skipped and bondlab falls back to the numpy
-kernel at import time.
+The package is pure Python plus one C extension, `bondlab._kernels`, built
+from the hand-written `src/bondlab/_kernels.c` with Python's headers only.
+The compile flags and the source's sha256 are compiled in and exported as
+FLAGS and SOURCE_SHA256, so a run records how its kernel was built and the
+tests can tell an extension built from another source.
 """
+
+import hashlib
 
 from setuptools import setup
 from setuptools.extension import Extension
+
+SOURCE = "src/bondlab/_kernels.c"
 
 
 def _cpu_flags() -> set:
@@ -23,34 +27,27 @@ def _cpu_flags() -> set:
     return set()
 
 
-def _kernel_extensions() -> list:
-    try:
-        import numpy
-    except ImportError:
-        return []
-    try:
-        from Cython.Build import cythonize
-    except ImportError:
-        cythonize = None
-
+def _kernel_extension() -> Extension:
     # -ffast-math lets gcc call the SIMD exp from libmvec inside the path
-    # loop; without it the scalar libm exp dominates and the extension is
-    # slower than the numpy fallback. Accuracy stays within a few ulp.
-    compile_args = ["-O3", "-ffast-math"]
+    # loop; without it the scalar libm exp dominates. -ffp-contract=off keeps
+    # every product and sum of the exponent rounded on its own, as numpy does.
+    compile_args = ["-O3", "-ffast-math", "-ffp-contract=off"]
     # AVX2/FMA code only for a host that can run it: the backend is imported
     # automatically, so an unsupported instruction would crash the import.
     if {"avx2", "fma"} <= _cpu_flags():
         compile_args.append("-march=x86-64-v3")
-    ext = Extension(
+    with open(SOURCE, "rb") as fh:
+        digest = hashlib.sha256(fh.read()).hexdigest()
+    return Extension(
         "bondlab._kernels",
-        sources=["src/bondlab/_kernels.pyx" if cythonize else "src/bondlab/_kernels.c"],
-        include_dirs=[numpy.get_include()],
-        define_macros=[("NPY_NO_DEPRECATED_API", "NPY_1_7_API_VERSION")],
+        sources=[SOURCE],
+        define_macros=[
+            ("BONDLAB_FLAGS", '"%s"' % " ".join(compile_args)),
+            ("BONDLAB_SOURCE_SHA256", '"%s"' % digest),
+        ],
         extra_compile_args=compile_args,
         libraries=["mvec", "m"],
-        optional=True,  # build failure degrades to the numpy fallback
     )
-    return cythonize([ext], language_level="3") if cythonize else [ext]
 
 
-setup(ext_modules=_kernel_extensions())
+setup(ext_modules=[_kernel_extension()])

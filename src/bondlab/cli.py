@@ -5,7 +5,8 @@ artifacts plus three provenance files into the output directory:
 
     resolved_scenario.json   the scenario with every default made explicit
     schema.json              column documentation for the emitted tables
-    metadata.json            scenario hash, seed, backend, artifact hashes
+    metadata.json            scenario hash, seed, backend and kernel flags,
+                             artifact hashes
 
 Runs are deterministic: given the same scenario file and seed, outputs are
 reproducible; with --fixed-order all statistical reductions use compensated
@@ -15,9 +16,12 @@ timestamps or absolute paths appear in any artifact.
 Exit codes: 0 success, 2 validation error, 3 numerical failure (including
 numpy's LinAlgError), 4 internal error (a ValueError, TypeError or KeyError
 raised by a verb outside its reading of the scenario: a program bug, whose
-traceback goes to stderr). Failures print a machine-readable JSON payload to
-stdout and, when the output directory is usable, mirror it to error.json;
-an error that locates itself in the ensemble adds its step and path.
+traceback goes to stderr), 5 resources exhausted (a MemoryError raised by a
+verb, such as an ensemble too large to allocate). Failures print a
+machine-readable JSON payload to stdout and, when the output directory is
+usable, mirror it to error.json; an error that locates itself in the
+ensemble adds its step and path, and a failed numpy allocation adds the
+requested shape and byte count.
 """
 
 from __future__ import annotations
@@ -76,6 +80,7 @@ from .utility import Utility, kernel_weight_of_wealth, log_utility
 __all__ = ["main"]
 
 _EXIT_INTERNAL = 4
+_EXIT_RESOURCES = 5
 
 
 # --- scenario defaults ----------------------------------------------------------
@@ -982,6 +987,11 @@ def _emit_error(exc: Exception, out: Path | None, code: int | None = None) -> in
     for key in ("step", "path"):
         if getattr(exc, key, None) is not None:
             payload[key] = getattr(exc, key)
+    # numpy's allocation error names the array it could not allocate
+    shape, dtype = getattr(exc, "shape", None), getattr(exc, "dtype", None)
+    if isinstance(exc, MemoryError) and shape is not None and dtype is not None:
+        payload["shape"] = [int(n) for n in shape]
+        payload["bytes"] = math.prod(payload["shape"]) * np.dtype(dtype).itemsize
     print(json.dumps(payload, sort_keys=True))
     if out is not None:
         try:
@@ -1027,6 +1037,8 @@ def main(argv=None) -> int:
             _COMMANDS[args.command](scn, out, args.fixed_order)
         except np.linalg.LinAlgError:
             raise
+        except MemoryError as exc:
+            return _emit_error(exc, out, code=_EXIT_RESOURCES)
         except (ValueError, TypeError, KeyError) as exc:
             # the scenario was resolved and read above: this is a program bug
             traceback.print_exc()
@@ -1044,6 +1056,7 @@ def main(argv=None) -> int:
                 "package": "bondlab",
                 "version": __version__,
                 "backend": kernels.backend_name(),
+                "kernel_flags": kernels.kernel_flags(),
                 "scenario_sha256": digest,
                 "seed": scn["seed"],
                 "paths": scn["paths"],

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
+from ._kernels_py import exponent
 from .curve_space import (
     Curve,
     MaturityGrid,
@@ -269,19 +270,6 @@ def _deterministic_coefficients(schedule: CoefficientSchedule, times, gamma_arr,
     return tuple(np.array(column) for column in zip(*rows))
 
 
-def _exponent(dw: np.ndarray, sig: np.ndarray, base, out: np.ndarray) -> None:
-    """out = dw @ sig + base for (B, n) dw, summed factor by factor.
-
-    Elementwise products give each path the same bits whatever the block
-    size; a BLAS product picks its kernel by matrix shape, so its rounding
-    for a multi-factor sig would depend on how many paths share a block.
-    """
-    np.multiply(dw[:, :1], sig[0], out=out)
-    for i in range(1, sig.shape[0]):
-        out += dw[:, i : i + 1] * sig[i]
-    out += base
-
-
 def _norm_batch(
     values: np.ndarray, const: np.ndarray, dx: float, order: int, scratch: np.ndarray
 ) -> np.ndarray:
@@ -454,37 +442,42 @@ def simulate_mild(
 
     def run_block(cols: slice) -> None:
         """All K steps of the paths in cols, on buffers private to the block."""
-        states = np.empty((cols.stop - cols.start, N))
+        n_block = cols.stop - cols.start
+        states = np.empty((n_block, N))
         states[:] = vals0
         out = np.empty_like(states)
-        expo = np.empty_like(states)
-        fill = np.full(len(states), p0.a)
-        fill_expo = np.empty(len(states))
+        fill = np.full(n_block, p0.a)
+        fill_expo = np.empty(n_block)
+        if not schedule.deterministic:
+            # per-path exponent coefficients of the step, refilled every step
+            sig_k = np.empty((n_block, n_factors, N))
+            base_k = np.empty_like(states)
+            sig_ak = np.empty((n_block, n_factors, 1))
+            base_ak = np.empty((n_block, 1))
         norm_buf = np.empty((4,) + states.shape) if record_norms else None
         record(0, cols, states, fill, norm_buf)
         for k in range(K):
             dwk = noise[cols, k, :]
             if schedule.deterministic:
-                _exponent(dwk, sig[k], base[k], expo)
-                _exponent(dwk, sig_a[k][:, None], base_a[k], fill_expo[:, None])
+                sig_k, base_k, sig_ak, base_ak = sig[k], base[k], sig_a[k][:, None], base_a[k]
             else:
                 t = float(times[k])
-                for j in range(len(states)):
+                for j in range(n_block):
                     p_j = Curve(grid, states[j] - fill[j], float(fill[j]))
                     m_j, sig_j = schedule.at(t, p_j)
-                    sig_vals = sig_j.values_matrix()
-                    sig_aj = sig_j.constant_parts()
+                    sig_vals = sig_k[j] = sig_j.values_matrix()
+                    sig_aj = sig_ak[j, :, 0] = sig_j.constant_parts()
                     drift_vals = m_j.curve.values()
                     drift_a = m_j.curve.a
                     if gamma_arr is not None:
                         drift_vals = drift_vals - gamma_arr[k] @ sig_vals
                         drift_a = drift_a - float(gamma_arr[k] @ sig_aj)
-                    expo[j] = (drift_vals - 0.5 * np.einsum("in,in->n", sig_vals, sig_vals)) * dt
-                    expo[j] += dwk[j] @ sig_vals
-                    fill_expo[j] = (drift_a - 0.5 * float(sig_aj @ sig_aj)) * dt + dwk[j] @ sig_aj
+                    base_k[j] = (drift_vals - 0.5 * np.einsum("in,in->n", sig_vals, sig_vals)) * dt
+                    base_ak[j] = (drift_a - 0.5 * float(sig_aj @ sig_aj)) * dt
 
+            exponent(dwk, sig_ak, base_ak, fill_expo[:, None])
             fill = fill * np.exp(fill_expo)
-            kernels.step_exp_shift(states, expo, fill, k0, frac, out)
+            kernels.step_exp_shift(states, dwk, sig_k, base_k, fill, k0, frac, out)
             states, out = out, states
             record(k + 1, cols, states, fill, norm_buf)
         terminal[cols] = states

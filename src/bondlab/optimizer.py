@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .curve_space import atoms_value_matrix, translate
 from .dynamics import CurvePath
@@ -122,6 +121,10 @@ def calibrate_lambda(u: Utility, law, v: float, tol: float = 1e-10) -> Calibrati
             return CalibrationResult(lam, "closed_form", np.nan, True)
         resid = phi_closed_form(u, lam, law.total_variance) - v
         return CalibrationResult(lam, "closed_form", float(resid), False)
+
+    # imported here: scipy.optimize costs about half a second to import, and
+    # only this sample-law branch uses it
+    from scipy.optimize import brentq
 
     xi = np.asarray(law, dtype=np.float64)
     if xi.ndim != 1 or np.any(xi <= 0.0):

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bondlab import kernels
 from bondlab.cli import _resolve_scenario, main
 
 
@@ -77,6 +78,8 @@ def test_simulate_emits_artifacts_with_verified_hashes(tmp_path):
     meta = json.loads((out / "metadata.json").read_text())
     assert meta["scenario_sha256"] == hashlib.sha256(scn_path.read_bytes()).hexdigest()
     assert meta["command"] == "simulate"
+    assert meta["kernel_flags"] == kernels.kernel_flags()
+    assert (meta["kernel_flags"] is None) == (meta["backend"] == "python")
     assert set(meta["artifacts"]) == expected - {"metadata.json"}
     for fname, digest in meta["artifacts"].items():
         assert hashlib.sha256((out / fname).read_bytes()).hexdigest() == digest
@@ -319,6 +322,41 @@ def test_program_error_inside_a_verb_exits_as_internal_error(tmp_path, capsys, m
     assert "missing_column" in payload["message"]
     assert "Traceback" in captured.err and "broken" in captured.err
     assert json.loads((out / "error.json").read_text()) == payload
+
+
+@pytest.mark.parametrize("numpy_like", [False, True])
+def test_allocation_failure_exits_as_resources_exhausted(tmp_path, capsys, monkeypatch, numpy_like):
+    import bondlab.cli as cli
+    import numpy as np
+
+    class ArrayMemoryError(MemoryError):
+        """Stands in for numpy's allocation error, which names the array."""
+
+        shape = (8192, 257, 513)
+        dtype = np.dtype(np.float64)
+
+    def exhausted(*args, **kwargs):
+        if numpy_like:
+            raise ArrayMemoryError("Unable to allocate 8.05 GiB")
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "simulate_mild", exhausted)
+    rc, out, _ = _run(tmp_path, "hedge", _scenario())
+    assert rc == 5
+    payload = _payload(capsys)
+    assert payload["exit_code"] == 5
+    if numpy_like:
+        assert payload["shape"] == [8192, 257, 513]
+        assert payload["bytes"] == 8192 * 257 * 513 * 8
+    else:
+        assert "shape" not in payload and "bytes" not in payload
+    assert json.loads((out / "error.json").read_text()) == payload
+
+
+def test_import_does_not_load_scipy_optimize():
+    code = "import sys, bondlab.cli; assert 'scipy.optimize' not in sys.modules"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_malformed_scenario_entries_read_by_verbs_stay_validation_errors(tmp_path, capsys):

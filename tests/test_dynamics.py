@@ -460,9 +460,9 @@ def test_non_positive_q_is_reported_at_its_step_and_path(block, monkeypatch):
     step = dynamics.kernels.step_exp_shift
     calls = []
 
-    def poisoned(states, expo, fill, k0, frac, out):
+    def poisoned(states, dw, sig, base, fill, k0, frac, out):
         # blocks run in order on one thread: call c is step c % K + 1 of block c // K
-        step(states, expo, fill, k0, frac, out)
+        step(states, dw, sig, base, fill, k0, frac, out)
         c = len(calls)
         calls.append(c)
         first = (c // config.n_steps) * block
