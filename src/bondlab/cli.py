@@ -14,14 +14,19 @@ fixed-order summation and outputs are byte-identical across runs. No
 timestamps or absolute paths appear in any artifact.
 
 Exit codes: 0 success, 2 validation error, 3 numerical failure (including
-numpy's LinAlgError), 4 internal error (a ValueError, TypeError or KeyError
-raised by a verb outside its reading of the scenario: a program bug, whose
-traceback goes to stderr), 5 resources exhausted (a MemoryError raised by a
-verb, such as an ensemble too large to allocate). Failures print a
-machine-readable JSON payload to stdout and, when the output directory is
-usable, mirror it to error.json; an error that locates itself in the
-ensemble adds its step and path, and a failed numpy allocation adds the
-requested shape and byte count.
+numpy's LinAlgError), 4 internal error (a ValueError, TypeError or
+LookupError raised by a verb outside its reading of the scenario, such as
+NodeNotRecorded: a program bug, whose traceback goes to stderr), 5
+resources exhausted (a MemoryError raised by a verb, such as an ensemble
+too large to allocate). Failures print a machine-readable JSON payload to
+stdout and, when the output directory is usable, mirror it to error.json;
+an error that locates itself in the ensemble adds its step and path (or
+node), and a failed numpy allocation adds the requested shape and byte
+count.
+
+The hedge, optimize and simulate verbs simulate their ledger ensembles with
+a node request: each step retains only the curve nodes that the run's atoms
+read, so memory grows with paths x steps x (a few nodes), not with the grid.
 """
 
 from __future__ import annotations
@@ -42,6 +47,7 @@ from .curve_space import Curve, MaturityGrid, SobolevIndex
 from .dynamics import (
     SimConfig,
     boundary_residual,
+    check_rollover_maturity,
     curve_from_forward,
     flat_forward_curve,
     moment_diagnostic,
@@ -60,6 +66,7 @@ from .errors import (
 from .hedging import (
     WeightedSequenceIndex,
     complete_hedge,
+    default_atom_maturities,
     gram_operators,
     integrand_from_strategy,
     weighted_condition_diagnostic,
@@ -73,8 +80,12 @@ from .market_model import (
     humped_volatility,
     solve_market_price_of_risk,
 )
-from .optimizer import mutual_fund_decompose, optimal_strategy_deterministic
-from .portfolio import ledger, pairings, strategy_from_spec
+from .optimizer import (
+    mutual_fund_decompose,
+    optimal_strategy_deterministic,
+    solve_condition_C,
+)
+from .portfolio import ledger, node_request, pairings, strategy_from_spec
 from .utility import Utility, kernel_weight_of_wealth, log_utility
 
 __all__ = ["main"]
@@ -521,8 +532,16 @@ def _cmd_simulate(scn: dict, out: Path, fixed: bool) -> dict:
     )
     _write_json(out / "moments.json", moment_diagnostic(path))
 
+    check_rollover_maturity(cfg, rollover_maturity)
+    if strategies and market.measure != "P":
+        raise ConfigInvalid("strategy ledgers need measure 'P' (gains are P-dynamics)")
+    # the rollover account reads S's point and derivative atoms
+    reads = [([rollover_maturity], 0), ([rollover_maturity], 1)]
+    reads += [read for strat in strategies for read in strat.reads(cfg.times)]
     # per-path seeding makes the detail ensemble a prefix of the full one
-    detail = market.simulate(n_paths=int(scn["detail_paths"]), keep_states=True)
+    detail = market.simulate(
+        n_paths=int(scn["detail_paths"]), keep_states=node_request(cfg.grid, cfg.times, reads)
+    )
     roll = simulate_rollover(detail, rollover_maturity)
     rows = []
     for k, t in enumerate(roll.times):
@@ -544,16 +563,13 @@ def _cmd_simulate(scn: dict, out: Path, fixed: bool) -> dict:
     )
 
     ledger_residuals = {}
-    if strategies:
-        if market.measure != "P":
-            raise ConfigInvalid("strategy ledgers need measure 'P' (gains are P-dynamics)")
-        for i, strat in enumerate(strategies):
-            led = ledger(strat, detail, market.schedule)
-            led.to_csv(out / f"ledger_{i}.csv")
-            ledger_residuals[f"ledger_{i}"] = {
-                "strategy": strat.name,
-                "max_residual": led.max_residual,
-            }
+    for i, strat in enumerate(strategies):
+        led = ledger(strat, detail, market.schedule)
+        led.to_csv(out / f"ledger_{i}.csv")
+        ledger_residuals[f"ledger_{i}"] = {
+            "strategy": strat.name,
+            "max_residual": led.max_residual,
+        }
 
     summary = {
         "backend": kernels.backend_name(),
@@ -572,23 +588,25 @@ def _cmd_simulate(scn: dict, out: Path, fixed: bool) -> dict:
     return summary
 
 
-def _claim_from_spec(spec: dict, path, schedule, n_factors: int):
-    """Returns (X, price0, integrands, reference_residual, label)."""
+def _claim_from_spec(spec: dict):
+    """The claim: a constant payoff (float) or a strategy's terminal wealth."""
     with _reading_scenario():
         kind = spec.get("kind")
-    K, P = path.n_steps, path.n_paths
-    if kind == "constant":
-        with _reading_scenario():
-            value = float(spec["value"])
-        X = np.full(P, value)
-        return X, value, np.zeros((K, P, n_factors)), 0.0, "constant"
-    if kind == "strategy_terminal":
-        with _reading_scenario():
-            strat = strategy_from_spec(spec["strategy"])
-        led = ledger(strat, path, schedule)
-        integrands = integrand_from_strategy(strat, path, schedule)
-        return led.wealth[K], led.wealth[0], integrands, led.max_residual, strat.name
+        if kind == "constant":
+            return float(spec["value"])
+        if kind == "strategy_terminal":
+            return strategy_from_spec(spec["strategy"])
     raise ConfigInvalid(f"unknown claim kind {kind!r}")
+
+
+def _claim_payoff(claim, path, schedule, n_factors: int):
+    """Returns (X, price0, integrands, reference_residual, label)."""
+    K, P = path.n_steps, path.n_paths
+    if isinstance(claim, float):
+        return np.full(P, claim), claim, np.zeros((K, P, n_factors)), 0.0, "constant"
+    led = ledger(claim, path, schedule)
+    integrands = integrand_from_strategy(claim, path, schedule)
+    return led.wealth[K], led.wealth[0], integrands, led.max_residual, claim.name
 
 
 def _cmd_hedge(scn: dict, out: Path, fixed: bool) -> dict:
@@ -598,13 +616,7 @@ def _cmd_hedge(scn: dict, out: Path, fixed: bool) -> dict:
     if market.gamma is None:
         raise ConfigInvalid("hedging needs a drift spec that provides gamma")
     cfg = market.config
-    path = market.simulate(keep_states=True)
-    ops = gram_operators(market.p0, market.schedule, cfg.times, market.s)
-    n = ops.n_factors
-
-    X, price0, integrands, ref_residual, label = _claim_from_spec(
-        scn["claim"], path, market.schedule, n
-    )
+    claim = _claim_from_spec(scn["claim"])
     hed = scn["hedge"]
     with _reading_scenario():
         eps_rank, eps_residual = float(hed["eps_rank"]), float(hed["eps_residual"])
@@ -612,6 +624,17 @@ def _cmd_hedge(scn: dict, out: Path, fixed: bool) -> dict:
         atom_maturities = hed["atom_maturities"]
         if atom_maturities is not None:
             atom_maturities = np.asarray(atom_maturities, dtype=np.float64)
+    ops = gram_operators(market.p0, market.schedule, cfg.times, market.s)
+    n = ops.n_factors
+    if atom_maturities is None:
+        atom_maturities = default_atom_maturities(n, cfg.grid, cfg.horizon)
+    # the hedge holds cash at 0 and its atom basis; then the claim's own atoms
+    reads = [([0.0], 0), (atom_maturities, 0)]
+    if not isinstance(claim, float):
+        reads += claim.reads(cfg.times)
+    path = market.simulate(keep_states=node_request(cfg.grid, cfg.times, reads))
+
+    X, price0, integrands, ref_residual, label = _claim_payoff(claim, path, market.schedule, n)
     result = complete_hedge(
         ops,
         path,
@@ -679,8 +702,6 @@ def _cmd_optimize(scn: dict, out: Path, fixed: bool) -> dict:
     if market.gamma is None:
         raise ConfigInvalid("optimization needs a drift spec that provides gamma")
     cfg = market.config
-    path = market.simulate(keep_states=True)
-    ops = gram_operators(market.p0, market.schedule, cfg.times, market.s)
     with _reading_scenario():
         v = float(scn["utility"]["budget"])
         maturities = scn["condition_c_maturities"]
@@ -690,12 +711,21 @@ def _cmd_optimize(scn: dict, out: Path, fixed: bool) -> dict:
             dict(entry, budget=v) for entry in scn["comparison_utilities"]
         ]
         utilities = [_utility_from_spec(spec) for spec in specs]
+    ops = gram_operators(market.p0, market.schedule, cfg.times, market.s)
+    # condition C depends on ops, gamma and the maturities only: solve it once,
+    # before simulating, since every plan holds cash and atoms at its maturities
+    try:
+        theta0 = solve_condition_C(ops, market.gamma, cfg.dt, maturities)
+        reads = [([0.0], 0), (theta0.maturities, 0)]
+    except ConditionCFails:
+        # then every plan fails: the primary one raises it again, after its own
+        # calibration errors, as it always has
+        theta0, reads = None, [([0.0], 0)]
+    path = market.simulate(keep_states=node_request(cfg.grid, cfg.times, reads))
 
     plans: dict[tuple, object] = {}
     rows = []
     seen = set()
-    # condition C depends on ops, gamma and the maturities only: solve it once
-    theta0 = None
     for spec, u in zip(specs, utilities):
         key = (u.family, None if u.family == "log" else u.mu)
         if key in seen:
@@ -715,7 +745,6 @@ def _cmd_optimize(scn: dict, out: Path, fixed: bool) -> dict:
             )
             continue
         plans[key] = plan
-        theta0 = plan.theta0
         rows.append(
             [
                 u.family,
@@ -983,8 +1012,9 @@ def _emit_error(exc: Exception, out: Path | None, code: int | None = None) -> in
         "message": str(exc),
         "exit_code": code,
     }
-    # where in the ensemble it failed, when the error knows (DegenerateCurve)
-    for key in ("step", "path"):
+    # where in the ensemble it failed, when the error knows (DegenerateCurve,
+    # NodeNotRecorded)
+    for key in ("step", "path", "node"):
         if getattr(exc, key, None) is not None:
             payload[key] = getattr(exc, key)
     # numpy's allocation error names the array it could not allocate
@@ -1039,7 +1069,7 @@ def main(argv=None) -> int:
             raise
         except MemoryError as exc:
             return _emit_error(exc, out, code=_EXIT_RESOURCES)
-        except (ValueError, TypeError, KeyError) as exc:
+        except (ValueError, TypeError, LookupError) as exc:
             # the scenario was resolved and read above: this is a program bug
             traceback.print_exc()
             return _emit_error(exc, out, code=_EXIT_INTERNAL)

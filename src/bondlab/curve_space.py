@@ -28,7 +28,13 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import AtomBeyondGrid, GridMismatch, OrderUnsupported, ValidationFailure
+from .errors import (
+    AtomBeyondGrid,
+    GridMismatch,
+    NodeNotRecorded,
+    OrderUnsupported,
+    ValidationFailure,
+)
 
 __all__ = [
     "MaturityGrid",
@@ -401,32 +407,55 @@ def _take(values: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return values[..., np.arange(values.shape[-2])[:, None], idx]
 
 
-def atoms_value_matrix(
-    locations, values: np.ndarray, grid: MaturityGrid, order: int = 0, coefficient=None
-) -> np.ndarray:
-    """Unit dual atoms paired with batched node-value arrays.
+def _columns(nodes: np.ndarray, idx: np.ndarray, step: int | None) -> np.ndarray:
+    """Columns holding node indices idx in a node table with sorted rows.
+
+    nodes is (C,) or (R, C); the result is idx.shape, or (R,) + idx.shape
+    with row r's columns for nodes[r]. A node missing from a row raises
+    NodeNotRecorded; no neighbouring column is ever read in its place.
+    """
+    if nodes.ndim == 1:
+        col = np.minimum(np.searchsorted(nodes, idx), nodes.shape[0] - 1)
+        missing = nodes[col] != idx
+    else:
+        # one search over all rows: row r's nodes and queries shift by r * bound
+        rows, n_cols = nodes.shape
+        bound = int(max(nodes.max(), idx.max())) + 1
+        shift = np.arange(rows).reshape((rows,) + (1,) * idx.ndim)
+        flat = (nodes + shift.reshape(rows, 1) * bound).ravel()
+        query = idx + shift * bound
+        pos = np.minimum(np.searchsorted(flat, query), flat.size - 1)
+        missing = flat[pos] != query
+        col = pos - shift * n_cols
+    if missing.any():
+        first = tuple(np.argwhere(missing)[0])
+        node = int(np.broadcast_to(idx, missing.shape)[first])
+        k = step if nodes.ndim == 1 else int(first[0])
+        raise NodeNotRecorded(
+            f"node {node} was not recorded at step {k}: the node request missed an atom",
+            step=k,
+            node=node,
+        )
+    return col
+
+
+def _take_columns(values: np.ndarray, nodes: np.ndarray, idx: np.ndarray, step) -> np.ndarray:
+    """_take for values whose last axis holds the nodes of a node table."""
+    col = _columns(nodes, idx, step)
+    if nodes.ndim == 1:
+        return _take(values, col)
+    # row k of the table serves values[k]; a missing path axis broadcasts
+    col = col.reshape(col.shape[:1] + (1,) * (values.ndim - col.ndim) + col.shape[1:])
+    return np.take_along_axis(values, col, axis=-1)
+
+
+def _atom_taps(locations, grid: MaturityGrid, order: int, tap):
+    """Atoms of one order at locations, paired through tap(i), the values at nodes i.
 
     The one place where an atom location is turned into grid nodes: an
     order-0 atom at x reads the two nodes around x and interpolates them
     linearly; an order-1 atom interpolates, the same way, the 3-node
     np.gradient(edge_order=2) stencils of those two nodes.
-
-    Args:
-        locations: (M,) points in [0, x_max] shared by every row of values,
-            or (P, M) points, one row per row of (P, N) values.
-        values: (..., N) curve node values; with (P, M) locations, (..., P, N).
-        grid: the shared maturity grid.
-        order: order of every atom, 0 (point) or 1 (derivative).
-        coefficient: optional node values c, a row (N,) or a stack
-            broadcasting against values, (..., P, N) or (..., 1, N) with
-            (P, M) locations; e.g. (S, 1, N) against (P, N) values. The atoms
-            then read the product curve f c: f and c are tapped at the same
-            nodes and only the taps are multiplied, the same floating-point
-            operations as tapping the product, which is never built.
-
-    Returns:
-        (..., M) atom values: values and coefficient broadcast together,
-        atoms last.
     """
     locs = np.asarray(locations, dtype=np.float64)
     if not ((locs >= 0.0) & (locs <= grid.x_max)).all():  # False at NaN
@@ -435,13 +464,83 @@ def atoms_value_matrix(
     pos = locs / dx
     idx = np.minimum(pos.astype(np.int64), n - 2)
     w = pos - idx
-
-    def tap(i):
-        f = _take(values, i)
-        return f if coefficient is None else f * _take(coefficient, i)
-
     if order == 0:
         left, right = tap(idx), tap(idx + 1)
     else:
         left, right = node_derivative(tap, idx, n, dx), node_derivative(tap, idx + 1, n, dx)
     return left * (1.0 - w) + right * w
+
+
+def atoms_value_matrix(
+    locations,
+    values: np.ndarray,
+    grid: MaturityGrid,
+    order: int = 0,
+    coefficient=None,
+    nodes: np.ndarray | None = None,
+    step: int | None = None,
+) -> np.ndarray:
+    """Unit dual atoms paired with batched node-value arrays.
+
+    Every atom evaluation goes through here, and the nodes each atom reads
+    are those of _atom_taps, the rule that atom_nodes reports.
+
+    Args:
+        locations: (M,) points in [0, x_max] shared by every row of values,
+            or (P, M) points, one row per row of (P, N) values.
+        values: (..., N) curve node values; with (P, M) locations, (..., P, N).
+            With a node table, (..., C): column c holds node nodes[..., c].
+        grid: the shared maturity grid.
+        order: order of every atom, 0 (point) or 1 (derivative).
+        coefficient: optional node values c, a row (N,) or a stack
+            broadcasting against values, (..., P, N) or (..., 1, N) with
+            (P, M) locations; e.g. (S, 1, N) against (P, N) values. The atoms
+            then read the product curve f c: f and c are tapped at the same
+            nodes and only the taps are multiplied, the same floating-point
+            operations as tapping the product, which is never built. It is
+            always indexed by node, also when values are columns.
+        nodes: None when values hold every node. Otherwise the node table of
+            values' columns, rows sorted: (C,) for one step, or (K+1, C) for
+            (K+1, ...) values, row k serving values[k] (CurvePath.nodes of a
+            column-only ensemble). Each atom reads the same nodes, and so the
+            same numbers, as on the full values.
+        step: the step of a (C,) table; it only labels NodeNotRecorded.
+
+    Returns:
+        (..., M) atom values: values and coefficient broadcast together,
+        atoms last.
+
+    Raises:
+        AtomBeyondGrid: a location outside [0, x_max] or NaN.
+        NodeNotRecorded: an atom reads a node missing from the table.
+    """
+
+    def tap(i):
+        f = _take(values, i) if nodes is None else _take_columns(values, nodes, i, step)
+        return f if coefficient is None else f * _take(coefficient, i)
+
+    return _atom_taps(locations, grid, order, tap)
+
+
+def atom_nodes(locations, grid: MaturityGrid, order: int = 0) -> np.ndarray:
+    """The nodes that atoms_value_matrix reads for atoms at locations.
+
+    _atom_taps runs with a tap that marks the nodes it is asked for, so this
+    is the tap rule itself (order 0: the two bracketing nodes; order 1 their
+    3-node stencils, one-sided at the ends), not a copy of it.
+
+    Args:
+        locations: (M,) points, or (K+1, M) points, one row per step.
+
+    Returns:
+        (N,) or (K+1, N) boolean mask, True at every node read.
+    """
+    locs = np.asarray(locations, dtype=np.float64)
+    read = np.zeros(locs.shape[:-1] + (grid.n_points,), dtype=bool)
+
+    def mark(i):
+        np.put_along_axis(read, i, True, axis=-1)
+        return np.zeros(i.shape)
+
+    _atom_taps(locs, grid, order, mark)
+    return read

@@ -52,6 +52,7 @@ __all__ = [
     "forward_rate",
     "boundary_residual",
     "simulate_rollover",
+    "check_rollover_maturity",
     "rollover_account",
     "undiscount_curve",
     "undiscount_path",
@@ -96,7 +97,17 @@ class SimConfig:
 
 @dataclass
 class CurvePath:
-    """Simulated ensemble: recorded observables plus optional full states."""
+    """Simulated ensemble: recorded observables plus optionally retained states.
+
+    Retained states come in two layouts. With keep_states=True, states is
+    the full (K+1, P, N) node array and nodes is None. With a node request,
+    states is (K+1, P, C) and nodes the (K+1, C) node table: states[k, :, c]
+    holds node nodes[k, c] of step k, and fill is None. A column-only ensemble serves every
+    tap through curve_space.atoms_value_matrix(..., nodes=...) whose nodes
+    were requested: pairings, ledgers, the rollover, complete_hedge and the
+    optimal plans. Whole curves (curve_at, PathPrefix.curve, undiscount_path,
+    state-dependent coefficient rows) need keep_states=True.
+    """
 
     config: SimConfig
     p0: Curve
@@ -106,13 +117,14 @@ class CurvePath:
     terminal_fill: np.ndarray  # (P,) constant part at the horizon
     spot: np.ndarray  # (K+1, P) short rate r_t
     value0: np.ndarray  # (K+1, P) boundary value p_t(0)
-    states: np.ndarray | None = None  # (K+1, P, N) node values if retained
-    fill: np.ndarray | None = None  # (K+1, P) constant parts if retained
+    states: np.ndarray | None = None  # (K+1, P, N), or (K+1, P, C) columns, if retained
+    fill: np.ndarray | None = None  # (K+1, P) constant parts if every node is retained
     sup_norm_p: np.ndarray | None = None  # (P,) sup_t ||p_t||_{E^{s+1}}
     sup_norm_q: np.ndarray | None = None
     sup_norm_qinv: np.ndarray | None = None
     obs_locations: np.ndarray | None = None  # (M,) recorded maturities
     observations: np.ndarray | None = None  # (K+1, P, M) p_t at obs_locations
+    nodes: np.ndarray | None = None  # (K+1, C) node of each states column; None: all N
 
     @property
     def times(self) -> np.ndarray:
@@ -126,9 +138,18 @@ class CurvePath:
     def n_steps(self) -> int:
         return self.dw.shape[1]
 
-    def curve_at(self, step: int, path: int) -> Curve:
+    def require_full_states(self, what: str) -> None:
+        """Raise ConfigInvalid unless every node of every step was retained."""
         if self.states is None:
-            raise ConfigInvalid("states were not retained; rerun with keep_states=True")
+            raise ConfigInvalid(f"{what} needs retained states; rerun with keep_states=True")
+        if self.nodes is not None:
+            raise ConfigInvalid(
+                f"{what} needs whole curves, but only the requested node columns were "
+                "retained; rerun with keep_states=True"
+            )
+
+    def curve_at(self, step: int, path: int) -> Curve:
+        self.require_full_states("curve_at")
         a = float(self.fill[step, path])
         return Curve(self.config.grid, self.states[step, path] - a, a)
 
@@ -292,7 +313,7 @@ def simulate_mild(
     *,
     measure: str = "P",
     gamma=None,
-    keep_states: bool = False,
+    keep_states: bool | np.ndarray = False,
     record_norms: bool = False,
     record_locations=None,
 ) -> CurvePath:
@@ -314,7 +335,14 @@ def simulate_mild(
         measure: "P" or "Q". Under "Q" the drift is m - sigma gamma and the
             increments are read as Q-Brownian; gamma is then required.
         gamma: market price of risk (vector, (K, n) array, or callable).
-        keep_states: retain the full (K+1, P, N) state array.
+        keep_states: True retains the full (K+1, P, N) state array, as
+            builders of PortfolioStrategy and state-dependent schedules need.
+            A node request, a (K+1, N) boolean array (see
+            portfolio.node_request), retains at step k only the nodes where
+            row k is True: states (K+1, P, C) and the (K+1, C) node table
+            nodes, C the largest row count; shorter rows repeat their last
+            node. Taps of requested atoms give the same bits either way; the
+            constant parts fill, read only by whole curves, are not kept.
         record_norms: track sup_t of the E^{s+1} norms of p, q = p / L_t p0
             and 1/q per path.
         record_locations: optional maturities at which p_t is recorded every
@@ -377,8 +405,11 @@ def simulate_mild(
     terminal = np.empty((P, N))
     terminal_fill = np.empty(P)
 
-    states_all = fill_all = None
-    if keep_states:
+    states_all = fill_all = nodes = None
+    if isinstance(keep_states, np.ndarray):
+        nodes = _node_table(keep_states, K, N)
+        states_all = np.empty((K + 1, P, nodes.shape[1]))
+    elif keep_states:
         states_all = np.empty((K + 1, P, N))
         fill_all = np.empty((K + 1, P))
 
@@ -402,8 +433,9 @@ def simulate_mild(
         """
         spot[k, cols] = _spot_from_values(states, dx, step=k, first_path=cols.start)
         value0[k, cols] = states[:, 0]
-        if keep_states:
-            states_all[k, cols] = states
+        if states_all is not None:
+            states_all[k, cols] = states if nodes is None else states[:, nodes[k]]
+        if fill_all is not None:
             fill_all[k, cols] = fill
         if observations is not None:
             observations[k, cols] = atoms_value_matrix(obs_loc, states, grid)
@@ -516,7 +548,28 @@ def simulate_mild(
         sup_norm_qinv=sup_qinv,
         obs_locations=obs_loc,
         observations=observations,
+        nodes=nodes,
     )
+
+
+def _node_table(request: np.ndarray, K: int, N: int) -> np.ndarray:
+    """(K+1, C) sorted node table of a (K+1, N) boolean node request.
+
+    C is the largest row count (at least 1); a shorter row repeats its last
+    node, or node 0 when it requests none, so every column holds a node.
+    """
+    if request.dtype != bool or request.shape != (K + 1, N):
+        raise ConfigInvalid(
+            f"node request must be a ({K + 1}, {N}) boolean array, got "
+            f"{request.dtype} {request.shape}"
+        )
+    rows = [np.flatnonzero(row) for row in request]
+    table = np.zeros((K + 1, max(1, max(row.size for row in rows))), dtype=np.int64)
+    for k, row in enumerate(rows):
+        if row.size:
+            table[k, : row.size] = row
+            table[k, row.size :] = row[-1]
+    return table
 
 
 # --- identities and diagnostics ------------------------------------------------
@@ -530,11 +583,15 @@ def boundary_residual(path: CurvePath) -> float:
     return float(np.max(np.abs(path.value0 - np.exp(-integral))))
 
 
-def rollover_account(states: np.ndarray, maturity: float, grid: MaturityGrid, dt: float):
+def rollover_account(
+    states: np.ndarray, maturity: float, grid: MaturityGrid, dt: float, nodes=None
+):
     """Bond value, forward rate and account of the rollover at time-to-maturity S.
 
     Args:
-        states: (K+1, ..., N) node values along the time grid.
+        states: (K+1, ..., N) node values along the time grid, or (K+1, ..., C)
+            columns with their (K+1, C) node table nodes; these need the
+            nodes of S's order-0 and order-1 atoms.
 
     Returns:
         (p_t(S), f_t(S), x_t), each shaped like states without the node axis,
@@ -545,8 +602,8 @@ def rollover_account(states: np.ndarray, maturity: float, grid: MaturityGrid, dt
         AtomBeyondGrid: S outside [0, x_max].
         DegenerateCurve: p_t(S) <= 0 somewhere.
     """
-    p_at = atoms_value_matrix([maturity], states, grid)[..., 0]
-    dp_at = atoms_value_matrix([maturity], states, grid, order=1)[..., 0]
+    p_at = atoms_value_matrix([maturity], states, grid, nodes=nodes)[..., 0]
+    dp_at = atoms_value_matrix([maturity], states, grid, order=1, nodes=nodes)[..., 0]
     if np.any(p_at <= 0.0):
         raise DegenerateCurve(f"p_t({maturity}) non-positive on some path")
     fwd = -dp_at / p_at
@@ -559,21 +616,19 @@ def simulate_rollover(path: CurvePath, maturity: float) -> RolloverPath:
     """Roll a bank account at constant time-to-maturity S = maturity.
 
     x_t = exp(sum_{s<t} f_s(S) dt) (left-point), q_t = x_t p_t(S). Requires
-    retained states.
+    retained states: every node, or a node request holding S's order-0 and
+    order-1 atoms.
 
     Raises:
         ConfigInvalid: S outside the uncontaminated window [dx, x_max - T].
         DegenerateCurve: p_t(S) <= 0 somewhere.
+        NodeNotRecorded: the node request left out a node S reads.
     """
     cfg = path.config
     if path.states is None:
         raise ConfigInvalid("rollover needs keep_states=True")
-    if not (cfg.grid.dx <= maturity <= cfg.grid.x_max - cfg.horizon):
-        raise ConfigInvalid(
-            f"rollover maturity {maturity} outside [{cfg.grid.dx}, "
-            f"{cfg.grid.x_max - cfg.horizon}]"
-        )
-    p_at, fwd, account = rollover_account(path.states, maturity, cfg.grid, cfg.dt)
+    check_rollover_maturity(cfg, maturity)
+    p_at, fwd, account = rollover_account(path.states, maturity, cfg.grid, cfg.dt, path.nodes)
     return RolloverPath(
         times=cfg.times,
         maturity=maturity,
@@ -582,6 +637,15 @@ def simulate_rollover(path: CurvePath, maturity: float) -> RolloverPath:
         bond_value=p_at,
         wealth=account * p_at,
     )
+
+
+def check_rollover_maturity(config: SimConfig, maturity: float) -> None:
+    """Raise ConfigInvalid unless S lies in the uncontaminated window [dx, x_max - T]."""
+    if not (config.grid.dx <= maturity <= config.grid.x_max - config.horizon):
+        raise ConfigInvalid(
+            f"rollover maturity {maturity} outside [{config.grid.dx}, "
+            f"{config.grid.x_max - config.horizon}]"
+        )
 
 
 def undiscount_curve(p: Curve) -> Curve:
@@ -593,9 +657,8 @@ def undiscount_curve(p: Curve) -> Curve:
 
 
 def undiscount_path(path: CurvePath) -> np.ndarray:
-    """(K+1, P, N) undiscounted node values; requires retained states."""
-    if path.states is None:
-        raise ConfigInvalid("undiscount_path needs keep_states=True")
+    """(K+1, P, N) undiscounted node values; requires keep_states=True."""
+    path.require_full_states("undiscount_path")
     v0 = path.value0[:, :, None]
     if np.any(v0 <= 0.0):
         raise DegenerateCurve("p_t(0) non-positive on some path")

@@ -10,7 +10,8 @@ Two bases partition every failure the library can raise on purpose:
   the operator range, root bracket not found...). CLI exit code 3.
 
 Concrete subclasses live here so that any module can raise them without
-import cycles.
+import cycles. NodeNotRecorded is the one exception outside both bases: it
+marks a program error, not bad input or a failed procedure (CLI exit code 4).
 """
 
 from __future__ import annotations
@@ -44,6 +45,20 @@ class OrderUnsupported(ValidationFailure):
 
 class GridMismatch(ValidationFailure):
     """Binary curve operation on curves living on different grids."""
+
+
+class NodeNotRecorded(LookupError):
+    """An atom read a curve node that the simulation did not retain.
+
+    Raised when a tap on a column-only ensemble needs a node outside the
+    run's node request: the request missed an atom, which is a program
+    error. step and node locate the first missing read.
+    """
+
+    def __init__(self, message: str, *, step: int | None = None, node: int | None = None):
+        super().__init__(message)
+        self.step = step
+        self.node = node
 
 
 # --- market model ----------------------------------------------------------

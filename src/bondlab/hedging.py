@@ -258,7 +258,9 @@ def complete_hedge(
 
     Args:
         ops: precomputed hedge operators on path.times.
-        path: P-measure ensemble with retained states.
+        path: P-measure ensemble with retained states: every node, or a
+            node request holding the order-0 atoms at atom_maturities (and,
+            for pairing the result's strategy, the cash atom at 0).
         integrands: (K, P, n) hedge targets at the left endpoints.
         price0: claim price E_Q[X] (scalar or per-path array).
         gamma: market price of risk, required unless conditional_mean is
@@ -274,6 +276,7 @@ def complete_hedge(
 
     Raises:
         OutOfRange: an integrand is not attainable within eps_residual.
+        NodeNotRecorded: the node request left out an atom maturity.
     """
     if path.states is None:
         raise ConfigInvalid("complete_hedge needs keep_states=True")
@@ -305,17 +308,23 @@ def complete_hedge(
     )
 
     for k in range(K):
+        nodes = None if path.nodes is None else path.nodes[k]
         c, resid = solve_hedge_step(ops, k, integrands[k], eps_rank, eps_residual)
         gram_residual[k] = resid
         targets = c @ ops.A[k]
         achieved[k] = targets
         # per-path atom system rows: (p_k sigma^i)(S_j)
         mat = atoms_value_matrix(
-            maturities, path.states[k][:, None, :], cfg.grid, coefficient=ops.sigma_values[k]
+            maturities,
+            path.states[k][:, None, :],
+            cfg.grid,
+            coefficient=ops.sigma_values[k],
+            nodes=nodes,
+            step=k,
         )
         w = (np.linalg.pinv(mat) @ targets[:, :, None])[:, :, 0]
         weights[k] = w
-        p_at = atoms_value_matrix(maturities, path.states[k], cfg.grid)
+        p_at = atoms_value_matrix(maturities, path.states[k], cfg.grid, nodes=nodes, step=k)
         risky = np.sum(w * p_at, axis=1)
         cash[k] = (vbar[k] - risky) / path.value0[k]
         if conditional_mean is not None:

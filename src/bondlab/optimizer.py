@@ -55,6 +55,7 @@ __all__ = [
     "optimal_terminal_wealth",
     "Theta0Portfolio",
     "condition_C_portfolio",
+    "solve_condition_C",
     "OptimalPlan",
     "optimal_strategy_deterministic",
     "MutualFundDecomposition",
@@ -243,6 +244,29 @@ def condition_C_portfolio(
     return Theta0Portfolio(maturities, weights, l_pair, l_at, cond)
 
 
+def solve_condition_C(
+    ops: HedgeOperators,
+    gamma,
+    dt: float,
+    maturities: np.ndarray | None = None,
+    eps_rank: float = 1e-10,
+) -> Theta0Portfolio:
+    """condition_C_portfolio for a deterministic gamma schedule on ops.times.
+
+    gamma is taken at the K+1 time nodes: a callable is sampled at each one
+    and a per-step schedule keeps its last row at T. It needs no ensemble,
+    so it can run before the simulation whose node request its maturities
+    enter.
+    """
+    K = len(ops.times) - 1
+    if callable(gamma):
+        gamma_nodes = as_gamma_array(gamma, K + 1, dt)
+    else:
+        steps = as_gamma_array(gamma, K, dt)
+        gamma_nodes = np.vstack([steps, steps[-1:]])
+    return condition_C_portfolio(ops, gamma_nodes, maturities, eps_rank)
+
+
 # --- optimal strategy, deterministic gamma ---------------------------------------
 
 
@@ -272,9 +296,10 @@ def _plan_tables(name: str, maturities, theta0_weights, l_pair, l_at, Y, y, path
     """Atom weights, the cash completing V_t = Y_t and the plan's Holdings.
 
     Shared by both regimes: theta0_weights is (K+1, M) or (M,) and y the
-    kernel weight scaling theta0 along each path.
+    kernel weight scaling theta0 along each path. Reads p_t at the
+    maturities only, so a node request holding them serves.
     """
-    p_at = atoms_value_matrix(maturities, path.states, path.config.grid)
+    p_at = atoms_value_matrix(maturities, path.states, path.config.grid, nodes=path.nodes)
     weights = y[:, :, None] * theta0_weights[..., None, :] * l_at[:, None, :] / p_at
     cash = (Y - y * l_pair[:, None]) / path.value0
     return weights, cash, Holdings.cash_and_bonds(name, path.config.grid, maturities, cash, weights)
@@ -297,7 +322,9 @@ def optimal_strategy_deterministic(
         u, v: utility family and initial capital.
         ops: hedge operators on path.times (deterministic coefficients).
         path: simulated ensemble with retained states; its increments define
-            the density path xi.
+            the density path xi. Every node, or a node request holding the
+            order-0 atoms at theta0's maturities (and, for pairing the plan's
+            strategy, the cash atom at 0).
         gamma: deterministic market price of risk.
         maturities: atom basis for theta0 (default: n equally spaced).
         calibration: reuse a previous calibration (e.g. to share lambda-hat
@@ -309,6 +336,7 @@ def optimal_strategy_deterministic(
     Raises:
         BudgetInfeasible: calibrated multiplier not positive (quadratic
             satiation), so no strategy exists in the admissible domain.
+        NodeNotRecorded: the node request left out one of theta0's maturities.
     """
     if path.states is None:
         raise ConfigInvalid("optimal_strategy_deterministic needs keep_states=True")
@@ -323,13 +351,7 @@ def optimal_strategy_deterministic(
             "budget sits at or beyond satiation for this family"
         )
     if theta0 is None:
-        # gamma at the K+1 time nodes; a per-step schedule keeps its last row at T
-        gamma_nodes = (
-            as_gamma_array(gamma, K + 1, dt)
-            if callable(gamma)
-            else np.vstack([gamma_steps, gamma_steps[-1:]])
-        )
-        theta0 = condition_C_portfolio(ops, gamma_nodes, maturities, eps_rank)
+        theta0 = solve_condition_C(ops, gamma, dt, maturities, eps_rank)
     Y, y = conditional_wealth_tables(u, cal.lambda_hat, gamma_steps, xi, dt)
     weights, cash, strategy = _plan_tables(
         f"optimal_{u.family}",
@@ -430,8 +452,14 @@ def optimal_strategy_log_stochastic(
     invested per maturity stay deterministic: weight_m p_t(S_m) / V_t =
     w_m (L_t p0)(S_m).
 
+    path may be column-only (a node request holding the maturities) only
+    when schedule is deterministic: a state-dependent one is sampled on
+    whole curves, which need keep_states=True.
+
     Raises:
         BudgetInfeasible: v <= 0.
+        ConfigInvalid: states not retained, or only node columns retained
+            under a state-dependent schedule.
     """
     if v <= 0.0:
         raise BudgetInfeasible(f"log utility needs positive capital, got {v}")

@@ -18,7 +18,10 @@ discrete strategies are only self-financing up to O(dt).
 Strategies come in three forms, all turned into a table by `as_holdings`:
 a Holdings table itself (the hedge and the optimal plans), a TableStrategy
 that tabulates itself on a given ensemble (the spec legs), and a
-PortfolioStrategy whose builder is called step by step. Adaptedness of
+PortfolioStrategy whose builder is called step by step. Since pairing reads
+p_t only at the nodes of finitely many atoms, an ensemble may retain just
+those nodes: `node_request` turns the atoms a run will pair into the
+simulator's keep_states request. Adaptedness of
 builders is structural: they receive a PathPrefix whose accessors refuse
 step indices beyond the current one, so a strategy cannot read the future
 without raising AdaptednessViolation.
@@ -31,7 +34,15 @@ from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .curve_space import Curve, DualAtom, MaturityGrid, SobolevIndex, atoms_value_matrix, pair
+from .curve_space import (
+    Curve,
+    DualAtom,
+    MaturityGrid,
+    SobolevIndex,
+    atom_nodes,
+    atoms_value_matrix,
+    pair,
+)
 from .dynamics import CurvePath, rollover_account
 from .errors import (
     AdaptednessViolation,
@@ -52,6 +63,7 @@ __all__ = [
     "LedgerPath",
     "Pairings",
     "as_holdings",
+    "node_request",
     "pairings",
     "coefficient_rows",
     "value",
@@ -200,10 +212,15 @@ class TableStrategy:
 
     table(path) returns the Holdings on path's time grid; the spec legs
     (cash, zero-coupon, rollover, derivative atoms) are of this kind.
+    reads(times) lists, as (locations, order) pairs with (M,) or (K+1, M)
+    locations, every atom that tabulating and pairing the table reads on
+    that time grid; its locations come from the same function as the
+    table's, so a node_request built from them serves both.
     """
 
     name: str
     table: Callable[[CurvePath], Holdings]
+    reads: Callable[[np.ndarray], list]
 
 
 Strategy = Union[Holdings, TableStrategy, PortfolioStrategy]
@@ -253,6 +270,11 @@ def as_holdings(strategy: Strategy, path: CurvePath) -> Holdings:
     when it is deterministic and once per (step, path) otherwise; each
     step's atoms keep their order within each derivative order, and steps
     or paths with fewer atoms are padded with zero weights.
+
+    On a column-only ensemble (a node request) every form works as long as
+    the request holds the nodes the table and its pairing read (for a
+    TableStrategy, those of its reads); a builder that reads curves through
+    PathPrefix.curve needs keep_states=True and raises ConfigInvalid.
     """
     if path.states is None:
         raise ConfigInvalid("portfolio evaluation needs keep_states=True")
@@ -298,7 +320,8 @@ class Pairings(NamedTuple):
 def coefficient_rows(schedule: CoefficientSchedule, path: CurvePath, k: int) -> np.ndarray:
     """Node values of m_k, then of each sigma_k^i, stacked: (1 + n, N).
 
-    A state-dependent schedule is sampled on every path's curve: (1 + n, P, N).
+    A state-dependent schedule is sampled on every path's curve: (1 + n, P, N);
+    that needs keep_states=True (ConfigInvalid on a column-only ensemble).
     """
     t = float(path.times[k])
 
@@ -312,15 +335,16 @@ def coefficient_rows(schedule: CoefficientSchedule, path: CurvePath, k: int) -> 
     )
 
 
-def _pair_step(p: np.ndarray, coeff, groups, grid: MaturityGrid) -> np.ndarray:
+def _pair_step(p: np.ndarray, coeff, groups, grid: MaturityGrid, nodes, k: int) -> np.ndarray:
     """Pairings <theta_k, p_k c_k> of one step.
 
     (P,) with c_k = 1 when coeff is None; (S, P) for a stack of S
-    coefficients, (S, 1, N) or (S, P, N).
+    coefficients, (S, 1, N) or (S, P, N). nodes is step k's node table of
+    p's columns, or None for all nodes.
     """
     out = None
     for locations, order, w in groups:
-        at = atoms_value_matrix(locations, p, grid, order, coeff)
+        at = atoms_value_matrix(locations, p, grid, order, coeff, nodes, k)
         if w.ndim == 1:
             part = at @ w
         else:
@@ -345,10 +369,15 @@ def pairings(
     curve. Weights shared by all paths contract by one matrix-vector product
     per row, per-path weights by one dot product per path and row.
 
+    On a column-only ensemble the atoms read the retained columns, with the
+    coefficient rows still indexed by node, so every pairing has the same
+    bits as on the full states.
+
     Raises:
         ConfigInvalid: states not retained, or a table of another ensemble.
         GridMismatch: holdings tabulated on another grid.
         OrderUnsupported: an order-1 atom while the Sobolev order s < 2.
+        NodeNotRecorded: an atom reads a node the ensemble did not retain.
     """
     hold = as_holdings(strategy, path)
     grid = path.config.grid
@@ -376,13 +405,15 @@ def pairings(
     for k in range(K + 1):
         step_groups = [(loc[k], order, w[k]) for loc, order, w in groups]
         p = path.states[k]
-        value[k] = _pair_step(p, None, step_groups, grid)
+        nodes = None if path.nodes is None else path.nodes[k]
+        value[k] = _pair_step(p, None, step_groups, grid, nodes, k)
         if schedule is None or k == K:
             continue
         rows = coefficient_rows(schedule, path, k)
         if vol is None:
             drift, vol = np.empty((K, P)), np.empty((K, P, len(rows) - 1))
-        paired = _pair_step(p, rows if rows.ndim == 3 else rows[:, None], step_groups, grid)
+        coeff = rows if rows.ndim == 3 else rows[:, None]
+        paired = _pair_step(p, coeff, step_groups, grid, nodes, k)
         drift[k], vol[k] = paired[0], paired[1:].T
     return Pairings(value, drift, vol)
 
@@ -462,21 +493,38 @@ def admissibility_norm(
 # --- strategy primitives -------------------------------------------------------
 
 
-def _leg(name: str, order: int, atom: Callable) -> TableStrategy:
-    """One-atom strategy; atom(path) gives its locations and weights per step."""
+def _leg(
+    name: str, order: int, locate: Callable, weigh: Callable, orders_read=None
+) -> TableStrategy:
+    """One-atom strategy at locate(times) per step; weigh(path) gives its weights.
+
+    orders_read lists the atom orders that tabulating and pairing read at
+    those locations (default: the atom's own order).
+    """
 
     def table(path: CurvePath) -> Holdings:
-        locations, weights = atom(path)
         return Holdings(
-            name=name, grid=path.config.grid, locations=locations, orders=[order], weights=weights
+            name=name,
+            grid=path.config.grid,
+            locations=locate(path.times),
+            orders=[order],
+            weights=weigh(path),
         )
 
-    return TableStrategy(name, table)
+    def reads(times: np.ndarray) -> list:
+        return [(locate(times), o) for o in (orders_read or (order,))]
+
+    return TableStrategy(name, table, reads)
 
 
 def _fixed_atom(name: str, location: float, order: int, weight: float) -> TableStrategy:
     """weight units of one atom at a fixed time-to-maturity, every step."""
-    return _leg(name, order, lambda path: ([location], np.full((path.n_steps + 1, 1), weight)))
+    return _leg(
+        name,
+        order,
+        lambda times: np.array([location]),
+        lambda path: np.full((path.n_steps + 1, 1), weight),
+    )
 
 
 def buy_and_hold_zero_coupon(maturity: float, weight: float = 1.0) -> TableStrategy:
@@ -486,27 +534,52 @@ def buy_and_hold_zero_coupon(maturity: float, weight: float = 1.0) -> TableStrat
     self-financing up to O(dt) without rebalancing cash.
     """
 
-    def atom(path: CurvePath):
-        x = maturity - path.times
+    def locate(times: np.ndarray) -> np.ndarray:
+        x = maturity - times
         if np.any(x < 0.0):
             raise ValidationFailure(f"zero-coupon maturity {maturity} before the horizon")
-        return x[:, None], np.full((x.shape[0], 1), weight)
+        return x[:, None]
 
-    return _leg(f"zero_coupon {maturity}", 0, atom)
+    return _leg(
+        f"zero_coupon {maturity}",
+        0,
+        locate,
+        lambda path: np.full((path.n_steps + 1, 1), weight),
+    )
 
 
 def _rollover_strategy(maturity: float, weight: float) -> TableStrategy:
     """Roll bonds at constant time-to-maturity S, reinvesting continuously.
 
     The holding at step k is x_k * delta_S with x_k = exp(sum_{j<k} f_j(S) dt)
-    the rollover account of each path (adapted by construction).
+    the rollover account of each path (adapted by construction); the account
+    reads S's order-1 atom as well.
     """
 
-    def atom(path: CurvePath):
-        _, _, account = rollover_account(path.states, maturity, path.config.grid, path.config.dt)
-        return [maturity], (weight * account)[:, :, None]
+    def weigh(path: CurvePath) -> np.ndarray:
+        cfg = path.config
+        _, _, account = rollover_account(path.states, maturity, cfg.grid, cfg.dt, path.nodes)
+        return (weight * account)[:, :, None]
 
-    return _leg(f"rollover {maturity}", 0, atom)
+    return _leg(f"rollover {maturity}", 0, lambda times: np.array([maturity]), weigh, (0, 1))
+
+
+def node_request(grid: MaturityGrid, times: np.ndarray, reads) -> np.ndarray:
+    """The simulate_mild(keep_states=...) request for atoms a run will pair.
+
+    Args:
+        times: the ensemble's K+1 time nodes.
+        reads: (locations, order) pairs with (M,) or (K+1, M) locations, as
+            TableStrategy.reads lists them.
+
+    Returns:
+        (K+1, N) boolean array, row k True at every node that the atoms of
+        step k read (curve_space.atom_nodes).
+    """
+    request = np.zeros((len(times), grid.n_points), dtype=bool)
+    for locations, order in reads:
+        request |= atom_nodes(locations, grid, order)
+    return request
 
 
 def _join(arrays: list) -> np.ndarray:
@@ -559,4 +632,7 @@ def strategy_from_spec(spec: dict | list) -> TableStrategy:
             weights=_join([t.weights for t in tables] or [np.zeros((path.n_steps + 1, 0))]),
         )
 
-    return TableStrategy(name, table)
+    def reads(times: np.ndarray) -> list:
+        return [read for part in parts for read in part.reads(times)]
+
+    return TableStrategy(name, table, reads)

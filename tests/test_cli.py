@@ -15,6 +15,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -351,6 +352,63 @@ def test_allocation_failure_exits_as_resources_exhausted(tmp_path, capsys, monke
     else:
         assert "shape" not in payload and "bytes" not in payload
     assert json.loads((out / "error.json").read_text()) == payload
+
+
+def test_a_node_the_request_missed_exits_as_internal_error(tmp_path, capsys, monkeypatch):
+    import bondlab.cli as cli
+
+    request_of = cli.node_request
+
+    def without_hedge_atoms(grid, times, reads):
+        return request_of(grid, times, reads[:1])  # cash only
+
+    monkeypatch.setattr(cli, "node_request", without_hedge_atoms)
+    rc, out, _ = _run(tmp_path, "hedge", _scenario())
+    assert rc == 4
+    payload = _payload(capsys)
+    assert payload["error"] == "NodeNotRecorded"
+    assert payload["step"] == 0 and isinstance(payload["node"], int)
+    assert json.loads((out / "error.json").read_text()) == payload
+
+
+def test_hedge_retains_the_same_few_columns_at_every_grid_size(tmp_path, monkeypatch):
+    import bondlab.cli as cli
+
+    runs = []
+    simulate = cli.simulate_mild
+
+    def recorded(*args, **kwargs):
+        runs.append(simulate(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(cli, "simulate_mild", recorded)
+    counts = []
+    for n_points in (257, 513, 1025):
+        scn = {"grid": {"x_max": 4.0, "n_points": n_points}, "paths": 6, "steps": 32}
+        rc, _, _ = _run(tmp_path, "hedge", scn, out=f"out_{n_points}")
+        assert rc == 0
+        path = runs[-1]
+        K, P, C = path.states.shape[0] - 1, path.n_paths, path.states.shape[2]
+        assert path.states.nbytes == (K + 1) * P * C * 8
+        counts.append([np.unique(row).size for row in path.nodes])
+    assert len(runs) == 3
+    # cash, the claim's zero-coupon at 2 - t and the three hedge atoms: two
+    # nodes each, fewer where the zero-coupon passes a hedge atom
+    assert counts[0] == counts[1] == counts[2]
+    assert max(counts[0]) == 10
+
+
+@pytest.mark.parametrize(
+    "budget, error, code", [(-1.0, "BudgetInfeasible", 2), (1.0, "ConditionCFails", 3)]
+)
+def test_optimize_keeps_the_primary_plan_error_when_condition_c_fails(
+    tmp_path, capsys, budget, error, code
+):
+    # sigma(0) = 0: an atom at 0 cannot carry the market price of risk
+    scn = _scenario(condition_c_maturities=[0.0], utility={"family": "log", "budget": budget})
+    rc, _, _ = _run(tmp_path, "optimize", scn)
+    assert rc == code
+    assert _payload(capsys)["error"] == error
 
 
 def test_import_does_not_load_scipy_optimize():
