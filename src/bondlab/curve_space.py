@@ -2,20 +2,25 @@
 
 A curve f on [0, infinity) is stored as f = g + a: a grid-sampled component g
 on equally spaced nodes of [0, x_max] (treated as zero beyond x_max) plus an
-explicit constant a capturing the level at infinity. The squared Sobolev-type
-norm of order s is
+explicit constant a capturing the level at infinity. The Sobolev-type inner
+product of order s is
 
-    ||f||^2 = integral of g^2 + (g')^2 + ... + (g^(s))^2  +  a^2,
+    (f, h) = integral of g_f g_h + g_f' g_h' + ... + g_f^(s) g_h^(s)  +  a_f a_h,
 
-with the integral approximated by the trapezoid rule and derivatives by
-second-order central differences (one-sided second-order stencils at both
-endpoints). Point evaluations and first-derivative evaluations act as dual
-atoms; pairing an atom with a curve is plain (derivative-)evaluation, made
-legal by the order bookkeeping below: point atoms need s >= 1, derivative
-atoms need s >= 2.
+with derivatives by second-order central differences (one-sided
+second-order stencils at both endpoints) and the integral by the trapezoid
+rule, in one summation order: the level products are summed pointwise and
+the sum is integrated by one trapezoid row sum. hs_inner_samples is that
+discretisation, for blocks of curves; sobolev_inner, sobolev_norm and
+sobolev_gram are calls of it.
 
-Between nodes curves are evaluated by linear interpolation; beyond x_max the
-grid component is zero, so f(x) = a there.
+Point evaluations and first-derivative evaluations act as dual atoms;
+pairing an atom with a curve is plain (derivative-)evaluation, made legal by
+the order bookkeeping below: point atoms need s >= 1, derivative atoms need
+s >= 2. Every atom evaluation goes through atoms_value_matrix: between nodes
+curves are interpolated linearly (order-1 atoms interpolate the node
+derivative stencils); beyond x_max the grid component is zero, so f(x) = a
+and f'(x) = 0 there.
 """
 
 from __future__ import annotations
@@ -43,19 +48,23 @@ __all__ = [
     "DualAtom",
     "sobolev_norm",
     "sobolev_inner",
+    "sobolev_gram",
+    "hs_inner_samples",
+    "node_derivative",
     "pair",
+    "atoms_value_matrix",
+    "atom_nodes",
     "translate",
     "derivative",
     "multiply",
+    "scale",
+    "add",
     "curve_to_dict",
     "curve_from_dict",
     "curve_to_json",
     "curve_from_json",
     "curve_to_csv",
 ]
-
-# numpy renamed trapz; support both without a deprecation warning
-_trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 
 @dataclass(frozen=True)
@@ -133,12 +142,11 @@ class Curve:
 
         Returns:
             Interpolated value(s), same shape as x.
+
+        Raises:
+            AtomBeyondGrid: a point below 0 or NaN.
         """
-        x_arr = np.asarray(x, dtype=np.float64)
-        if np.any(x_arr < 0.0):
-            raise AtomBeyondGrid(f"evaluation point below 0: {x}")
-        out = np.interp(x_arr, self.grid.nodes, self.g, right=0.0) + self.a
-        return float(out) if np.isscalar(x) or x_arr.ndim == 0 else out
+        return self._atoms_at(x, 0)
 
     def derivative_values(self) -> np.ndarray:
         """Node values of f' = g' (second-order stencils, one-sided at ends)."""
@@ -146,11 +154,16 @@ class Curve:
 
     def derivative_at(self, x) -> np.ndarray | float:
         """Evaluate f' at x; beyond x_max the curve is constant, so f' = 0."""
+        return self._atoms_at(x, 1)
+
+    def _atoms_at(self, x, order: int) -> np.ndarray | float:
+        """Unit atoms of one order at x, one row of atoms_value_matrix."""
         x_arr = np.asarray(x, dtype=np.float64)
-        if np.any(x_arr < 0.0):
-            raise AtomBeyondGrid(f"evaluation point below 0: {x}")
-        out = np.interp(x_arr, self.grid.nodes, self.derivative_values(), right=0.0)
-        return float(out) if np.isscalar(x) or x_arr.ndim == 0 else out
+        beyond = x_arr > self.grid.x_max  # False at NaN, which the taps reject
+        locs = np.where(beyond, self.grid.x_max, x_arr).ravel()
+        taps = atoms_value_matrix(locs, self.values(), self.grid, order)
+        out = np.where(beyond.ravel(), self.a if order == 0 else 0.0, taps).reshape(x_arr.shape)
+        return float(out) if x_arr.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -178,29 +191,6 @@ class DualAtom:
 # --- norms and inner products ------------------------------------------------
 
 
-def _accumulate_inner(y1: np.ndarray, y2: np.ndarray, dx: float, s: int) -> float:
-    """Trapezoid inner product of g-samples plus s derivative levels."""
-    total = float(_trapezoid(y1 * y2, dx=dx))
-    d1, d2 = y1, y2
-    for _ in range(s):
-        d1 = np.gradient(d1, dx, edge_order=2)
-        d2 = np.gradient(d2, dx, edge_order=2)
-        total += float(_trapezoid(d1 * d2, dx=dx))
-    return total
-
-
-def sobolev_inner(f: Curve, h: Curve, s: SobolevIndex) -> float:
-    """E^s inner product (f, h) = <g_f, g_h>_{H^s} + a_f * a_h."""
-    if f.grid != h.grid:
-        raise GridMismatch("curves live on different grids")
-    return _accumulate_inner(f.g, h.g, f.grid.dx, s.s) + f.a * h.a
-
-
-def sobolev_norm(f: Curve, s: SobolevIndex) -> float:
-    """Norm sqrt(||g||_{H^s}^2 + a^2) with the discrete H^s norm of order s."""
-    return float(np.sqrt(max(sobolev_inner(f, f, s), 0.0)))
-
-
 def _row_gradient(f: np.ndarray, dx: float, out: np.ndarray) -> None:
     """out = np.gradient(f, dx, axis=1, edge_order=2) for C-contiguous (B, N) blocks.
 
@@ -215,39 +205,82 @@ def _row_gradient(f: np.ndarray, dx: float, out: np.ndarray) -> None:
     out[:, -1] = (0.5 / dx) * f[:, -3] + (-2.0 / dx) * f[:, -2] + (1.5 / dx) * f[:, -1]
 
 
-def hs_inner_samples(g: np.ndarray, dx: float, s: int, scratch: np.ndarray) -> np.ndarray:
-    """Squared discrete H^s norms of the rows of a (B, N) sample block.
+def hs_inner_samples(
+    g: np.ndarray, h: np.ndarray, dx: float, s: int, scratch: np.ndarray
+) -> np.ndarray:
+    """Discrete H^s inner products of the rows of two (R, N) sample blocks.
 
-    The trapezoid rule over g^2 + (g')^2 + ... + (g^(s))^2, each derivative
-    taken from the previous one with the np.gradient(edge_order=2) stencils.
-    Used by the simulation diagnostics, where building Curve objects per path
-    would dominate the cost; it allocates no (B, N) array.
+    The trapezoid rule over g h + g' h' + ... + g^(s) h^(s), each derivative
+    taken from the previous one with the np.gradient(edge_order=2) stencils;
+    the level products are summed pointwise and integrated by one row sum.
+    This is the only discretisation of the inner product. Passing h = g
+    gives squared norms with one stencil pass per level, as the simulation
+    diagnostics need; they allocate no (R, N) array here.
 
     Args:
-        g: (B, N) samples, one curve per row; overwritten with the pointwise
-            sum of squares.
+        g: (R, N) samples, one curve per row; overwritten with the pointwise
+            sum of level products.
+        h: (R, N) samples, read only; or g itself.
         dx: node spacing.
         s: number of derivative levels, >= 1.
-        scratch: (2, B, N) buffer for two derivative levels.
+        scratch: (2, R, N) buffer for two derivative levels when h is g,
+            (4, R, N) otherwise.
 
     Returns:
-        (B,) weighted row sums. Pointwise summation before one row sum
-        rounds differently from one trapezoid per level (relative 1e-16).
+        (R,) weighted row sums.
     """
-    d, spare = scratch
-    _row_gradient(g, dx, d)
-    np.multiply(g, g, out=g)
+    levels = [list(scratch[:2])] if h is g else [list(scratch[:2]), list(scratch[2:4])]
+    for f, buffers in zip((g, h), levels):
+        _row_gradient(f, dx, buffers[0])
+    np.multiply(g, h, out=g)
     for level in range(1, s + 1):
         if level < s:
-            _row_gradient(d, dx, spare)
-        np.multiply(d, d, out=d)
+            for d, spare in levels:
+                _row_gradient(d, dx, spare)
+        d = levels[0][0]
+        np.multiply(d, levels[-1][0], out=d)
         g += d
-        d, spare = spare, d
+        for buffers in levels:
+            buffers.reverse()
     # trapezoid weights dx/2, dx, ..., dx, dx/2 as a row sum: a BLAS product
     # would pick its kernel, and so its rounding, by the block's shape
     g[:, 0] *= 0.5
     g[:, -1] *= 0.5
     return g.sum(axis=1) * dx
+
+
+def sobolev_inner(f: Curve, h: Curve, s: SobolevIndex) -> float:
+    """E^s inner product (f, h) = <g_f, g_h>_{H^s} + a_f * a_h: one row of hs_inner_samples."""
+    if f.grid != h.grid:
+        raise GridMismatch("curves live on different grids")
+    g = f.g[None].copy()
+    other = g if h is f else h.g[None]
+    inner = hs_inner_samples(g, other, f.grid.dx, s.s, np.empty((4,) + g.shape))
+    return float(inner[0]) + f.a * h.a
+
+
+def sobolev_norm(f: Curve, s: SobolevIndex) -> float:
+    """Norm sqrt(||g||_{H^s}^2 + a^2) with the discrete H^s norm of order s."""
+    return float(np.sqrt(max(sobolev_inner(f, f, s), 0.0)))
+
+
+def sobolev_gram(g: np.ndarray, a: np.ndarray, dx: float, s: SobolevIndex) -> np.ndarray:
+    """Gram matrices ((f_i, f_j))_ij of stacked curves from one hs_inner_samples call.
+
+    Args:
+        g: (..., n, N) grid parts of n curves per stack entry.
+        a: (..., n) their constant parts.
+
+    Returns:
+        (..., n, n) matrices; entry (i, j) has the bits of
+        sobolev_inner(f_i, f_j), since each row is computed on its own, and
+        so equals entry (j, i) exactly.
+    """
+    n, N = g.shape[-2:]
+    rows = np.repeat(g, n, axis=-2).reshape(-1, N)  # f_i, each n times
+    cols = np.broadcast_to(g[..., None, :, :], g.shape[:-1] + (n, N)).reshape(-1, N)
+    inner = hs_inner_samples(rows, cols, dx, s.s, np.empty((4,) + rows.shape))
+    return inner.reshape(g.shape[:-1] + (n,)) + a[..., :, None] * a[..., None, :]
 
 
 def node_derivative(tap, j, n: int, dx: float):
@@ -273,7 +306,7 @@ def node_derivative(tap, j, n: int, dx: float):
 
 
 def pair(atoms: DualAtom | Iterable[DualAtom], f: Curve, s: SobolevIndex | None = None) -> float:
-    """Duality pairing <sum of atoms, f>.
+    """Duality pairing <sum of atoms, f>: one atoms_value_matrix row per order.
 
     Args:
         atoms: a single atom or an iterable of atoms.
@@ -289,28 +322,19 @@ def pair(atoms: DualAtom | Iterable[DualAtom], f: Curve, s: SobolevIndex | None 
         AtomBeyondGrid: an atom sits outside [0, x_max].
         OrderUnsupported: order-1 atom with s missing or s < 2.
     """
-    if isinstance(atoms, DualAtom):
-        atoms = (atoms,)
+    atoms = (atoms,) if isinstance(atoms, DualAtom) else tuple(atoms)
     total = 0.0
-    deriv_vals = None
-    for atom in atoms:
-        if atom.location > f.grid.x_max:
-            raise AtomBeyondGrid(
-                f"atom at {atom.location} beyond grid end {f.grid.x_max}"
+    for order in (0, 1):
+        group = [atom for atom in atoms if atom.order == order]
+        if not group:
+            continue
+        if order == 1 and (s is None or s.s < 2):
+            raise OrderUnsupported(
+                "derivative atoms require Sobolev order >= 2 "
+                f"(got {'none' if s is None else s.s})"
             )
-        if atom.order == 0:
-            total += atom.weight * f.value_at(atom.location)
-        else:
-            if s is None or s.s < 2:
-                raise OrderUnsupported(
-                    "derivative atoms require Sobolev order >= 2 "
-                    f"(got {'none' if s is None else s.s})"
-                )
-            if deriv_vals is None:
-                deriv_vals = f.derivative_values()
-            total += atom.weight * float(
-                np.interp(atom.location, f.grid.nodes, deriv_vals)
-            )
+        taps = atoms_value_matrix([a.location for a in group], f.values(), f.grid, order)
+        total += float(taps @ np.array([a.weight for a in group]))
     return total
 
 

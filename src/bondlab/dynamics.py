@@ -301,7 +301,7 @@ def _norm_batch(
     """
     g = scratch[0]
     np.subtract(values, const[:, None], out=g)
-    sq = hs_inner_samples(g, dx, order, scratch[1:]) + const * const
+    sq = hs_inner_samples(g, g, dx, order, scratch[1:]) + const * const
     return np.sqrt(np.maximum(sq, 0.0))
 
 

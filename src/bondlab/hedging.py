@@ -34,8 +34,7 @@ from .curve_space import (
     Curve,
     SobolevIndex,
     atoms_value_matrix,
-    multiply,
-    sobolev_inner,
+    sobolev_gram,
     translate,
 )
 from .dynamics import CurvePath
@@ -62,14 +61,20 @@ __all__ = [
 
 @dataclass
 class HedgeOperators:
-    """Deterministic hedge operators per time node, with spectral data."""
+    """Deterministic hedge operators at the K+1 time nodes, with spectral data.
+
+    Curves are kept as Curve keeps them, grid parts plus constants, stacked
+    over the time nodes.
+    """
 
     times: np.ndarray
     grid: object
     s: SobolevIndex
-    l: list  # translated initial curves L_t p0
-    B: list  # B[k][i] = l_k * sigma_k^i
-    sigma_values: list  # (n, N) node values per step
+    l: np.ndarray  # (K+1, N) grid parts of l_t = L_t p0
+    l_a: float  # constant part of every l_t, that of p0
+    B: np.ndarray  # (K+1, n, N) grid parts of B_t^i = l_t sigma_t^i
+    B_a: np.ndarray  # (K+1, n) constant parts of B_t^i
+    sigma_values: np.ndarray  # (K+1, n, N) node values of sigma_t^i
     A: np.ndarray  # (K+1, n, n) Gram matrices
     eigvals: np.ndarray  # (K+1, n)
     eigvecs: np.ndarray  # (K+1, n, n)
@@ -82,30 +87,30 @@ class HedgeOperators:
 def gram_operators(
     p0: Curve, schedule: CoefficientSchedule, times: np.ndarray, s: SobolevIndex
 ) -> HedgeOperators:
-    """Build l_t, B_t^i and A_t = B*B on the time grid (deterministic sigma)."""
+    """Build l_t, B_t^i and A_t = B*B on the time grid (deterministic sigma).
+
+    A holds every step and factor pair from one sobolev_gram call.
+    """
     if not schedule.deterministic:
         raise ConfigInvalid("gram_operators needs a deterministic coefficient schedule")
-    l_list, B_list, sig_list = [], [], []
-    n = schedule.at(0.0)[1].n_factors
-    A = np.empty((len(times), n, n))
-    for k, t in enumerate(times):
-        _, sig = schedule.at(float(t))
-        l_k = translate(p0, float(t))
-        B_k = [multiply(l_k, f) for f in sig.factors]
-        for i in range(n):
-            for j in range(i, n):
-                A[k, i, j] = A[k, j, i] = sobolev_inner(B_k[i], B_k[j], s)
-        l_list.append(l_k)
-        B_list.append(B_k)
-        sig_list.append(sig.values_matrix())
+    sigmas = [schedule.at(float(t))[1] for t in times]
+    sig_g = np.array([[f.g for f in sig.factors] for sig in sigmas])
+    sig_a = np.array([sig.constant_parts() for sig in sigmas])
+    l = np.array([translate(p0, float(t)).g for t in times])[:, None, :]
+    # multiply(l_t, sigma_t^i) for every step and factor: the same expression
+    B = l * sig_g + p0.a * sig_g + sig_a[:, :, None] * l
+    B_a = p0.a * sig_a
+    A = sobolev_gram(B, B_a, p0.grid.dx, s)
     eigvals, eigvecs = np.linalg.eigh(A)
     return HedgeOperators(
         times=np.asarray(times, dtype=np.float64),
         grid=p0.grid,
         s=s,
-        l=l_list,
-        B=B_list,
-        sigma_values=sig_list,
+        l=l[:, 0],
+        l_a=p0.a,
+        B=B,
+        B_a=B_a,
+        sigma_values=sig_g + sig_a[:, :, None],
         A=A,
         eigvals=eigvals,
         eigvecs=eigvecs,
@@ -154,13 +159,7 @@ def solve_hedge_step(
 
 def eta_curve(ops: HedgeOperators, step: int, c: np.ndarray) -> Curve:
     """Riesz representative eta = sum_i c_i B_t^i of the solved hedge."""
-    B_k = ops.B[step]
-    g = np.zeros(ops.grid.n_points)
-    a = 0.0
-    for ci, b in zip(c, B_k):
-        g += ci * b.g
-        a += ci * b.a
-    return Curve(ops.grid, g, a)
+    return Curve(ops.grid, c @ ops.B[step], float(c @ ops.B_a[step]))
 
 
 def default_atom_maturities(n_factors: int, grid, horizon: float, m: int | None = None) -> np.ndarray:
@@ -235,8 +234,8 @@ class HedgeResult:
     """Completed hedge: atoms plus cash per step, with audit trails."""
 
     atom_maturities: np.ndarray
-    weights: np.ndarray  # (K, P, M) atom weights
-    cash: np.ndarray  # (K+1, P) holdings of the maturing bond delta_0
+    weights: np.ndarray  # (K, P, M) atom weights, a read-only view of strategy.weights
+    cash: np.ndarray  # (K+1, P) holdings of the maturing bond delta_0, another view
     conditional_value: np.ndarray  # (K+1, P) V-bar_k
     gram_residual: np.ndarray  # (K, P)
     achieved: np.ndarray  # (K, P, n) targets A c actually met
@@ -298,8 +297,10 @@ def complete_hedge(
     if conditional_mean is None:
         dw_q = q_brownian_increments(path.dw, gamma, cfg.dt)
 
-    weights = np.empty((K, P, M))
-    cash = np.empty((K + 1, P))
+    # the strategy's table: cash at 0, then the atom basis; the claim pays at
+    # T in cash, so no bonds are held at the last step
+    table = np.zeros((K + 1, P, M + 1))
+    weights, cash = table[:K, :, 1:], table[:, :, 0]
     vbar = np.empty((K + 1, P))
     gram_residual = np.empty((K, P))
     achieved = np.empty((K, P, n))
@@ -332,10 +333,8 @@ def complete_hedge(
         else:
             vbar[k + 1] = vbar[k] + np.einsum("pn,pn->p", targets, dw_q[:, k, :])
     cash[K] = vbar[K] / path.value0[K]
-
-    # the claim pays at T in cash: no bonds held at the last step
-    bonds = np.concatenate([weights, np.zeros((1, P, M))])
-    strategy = Holdings.cash_and_bonds("completed_hedge", cfg.grid, maturities, cash, bonds)
+    weights.flags.writeable = cash.flags.writeable = False
+    strategy = Holdings.cash_and_bonds("completed_hedge", cfg.grid, maturities, table)
     return HedgeResult(
         atom_maturities=maturities,
         weights=weights,

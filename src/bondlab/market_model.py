@@ -24,8 +24,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .curve_space import Curve, MaturityGrid, SobolevIndex, sobolev_inner, sobolev_norm
-from .errors import ArbitrageDetected, ValidationFailure
+from .curve_space import Curve, MaturityGrid, SobolevIndex, sobolev_gram, sobolev_norm
+from .errors import ArbitrageDetected, GridMismatch, ValidationFailure
 
 __all__ = [
     "VolatilityOperator",
@@ -179,7 +179,8 @@ def solve_market_price_of_risk(
 ) -> MarketPriceOfRisk:
     """Minimum-norm gamma solving sum_i gamma^i sigma^i = m in E^s.
 
-    The normal equations use the Gram matrix G_ij = (sigma^i, sigma^j)_{E^s};
+    The normal equations use the Gram matrix G_ij = (sigma^i, sigma^j)_{E^s}
+    and the right-hand side (sigma^i, m)_{E^s}, from one sobolev_gram call;
     eigenvalues below eps_rank * max are treated as kernel directions, which
     makes gamma the kernel-orthogonal representative when the factors are
     dependent (other solutions differ by kernel elements).
@@ -188,13 +189,14 @@ def solve_market_price_of_risk(
         ArbitrageDetected: residual norm ||m - sum gamma^i sigma^i|| exceeds
             eps_residual * ||m||.
     """
+    if m.curve.grid != sigma.grid:
+        raise GridMismatch("drift and volatility live on different grids")
     n = sigma.n_factors
-    gram = np.empty((n, n))
-    rhs = np.empty(n)
-    for i in range(n):
-        rhs[i] = sobolev_inner(sigma.factors[i], m.curve, s)
-        for j in range(i, n):
-            gram[i, j] = gram[j, i] = sobolev_inner(sigma.factors[i], sigma.factors[j], s)
+    curves = sigma.factors + (m.curve,)
+    full = sobolev_gram(
+        np.array([f.g for f in curves]), np.array([f.a for f in curves]), sigma.grid.dx, s
+    )
+    gram, rhs = full[:n, :n], full[:n, n]
 
     eigvals, eigvecs = np.linalg.eigh(gram)
     cutoff = eps_rank * max(eigvals.max(initial=0.0), 0.0)

@@ -219,14 +219,13 @@ def condition_C_portfolio(
     if M < n:
         raise ConfigInvalid(f"{M} atoms cannot match {n} factors")
 
+    # node values g + a of B_t^i and of L_t p0, each stack tapped in one call
+    mats = atoms_value_matrix(maturities, ops.B + ops.B_a[:, :, None], ops.grid)
+    l_at = atoms_value_matrix(maturities, ops.l + ops.l_a, ops.grid)
     weights = np.empty((K1, M))
     l_pair = np.empty(K1)
-    l_at = np.empty((K1, M))
     cond = np.empty(K1)
-    for k in range(K1):
-        mat = np.empty((n, M))
-        for i in range(n):
-            mat[i] = atoms_value_matrix(maturities, ops.B[k][i].values(), ops.grid)
+    for k, mat in enumerate(mats):
         sv = np.linalg.svd(mat, compute_uv=False)
         if sv[-1] <= eps_rank * max(sv[0], 1e-300):
             raise ConditionCFails(
@@ -238,8 +237,6 @@ def condition_C_portfolio(
             weights[k] = np.linalg.solve(mat, gamma_nodes[k])
         else:
             weights[k] = np.linalg.lstsq(mat, gamma_nodes[k], rcond=None)[0]
-        l_vals = ops.l[k].values()
-        l_at[k] = atoms_value_matrix(maturities, l_vals, ops.grid)
         l_pair[k] = float(weights[k] @ l_at[k])
     return Theta0Portfolio(maturities, weights, l_pair, l_at, cond)
 
@@ -281,8 +278,8 @@ class OptimalPlan:
     xi: np.ndarray  # (P, K+1)
     Y: np.ndarray  # (K+1, P) conditional optimal wealth
     y: np.ndarray  # (K+1, P) kernel weight
-    cash: np.ndarray  # (K+1, P)
-    weights: np.ndarray  # (K+1, P, M) atom weights of the risky leg
+    cash: np.ndarray  # (K+1, P), a read-only view of strategy.weights
+    weights: np.ndarray  # (K+1, P, M) atom weights of the risky leg, another view
     x_hat: np.ndarray  # (P,) terminal wealth samples
     expected_utility: float
     strategy: Holdings  # cash at 0, then theta0's maturities
@@ -295,14 +292,19 @@ class OptimalPlan:
 def _plan_tables(name: str, maturities, theta0_weights, l_pair, l_at, Y, y, path):
     """Atom weights, the cash completing V_t = Y_t and the plan's Holdings.
 
+    The weights and the cash are read-only views of the Holdings table.
+
     Shared by both regimes: theta0_weights is (K+1, M) or (M,) and y the
     kernel weight scaling theta0 along each path. Reads p_t at the
     maturities only, so a node request holding them serves.
     """
     p_at = atoms_value_matrix(maturities, path.states, path.config.grid, nodes=path.nodes)
-    weights = y[:, :, None] * theta0_weights[..., None, :] * l_at[:, None, :] / p_at
-    cash = (Y - y * l_pair[:, None]) / path.value0
-    return weights, cash, Holdings.cash_and_bonds(name, path.config.grid, maturities, cash, weights)
+    table = np.empty(p_at.shape[:-1] + (p_at.shape[-1] + 1,))
+    weights, cash = table[..., 1:], table[..., 0]
+    np.divide(y[:, :, None] * theta0_weights[..., None, :] * l_at[:, None, :], p_at, out=weights)
+    np.divide(Y - y * l_pair[:, None], path.value0, out=cash)
+    weights.flags.writeable = cash.flags.writeable = False
+    return weights, cash, Holdings.cash_and_bonds(name, path.config.grid, maturities, table)
 
 
 def optimal_strategy_deterministic(
@@ -429,8 +431,8 @@ class LogStochasticPlan:
     gamma_paths: np.ndarray  # (P, K, n)
     xi: np.ndarray  # (P, K+1)
     Y: np.ndarray  # (K+1, P)
-    cash: np.ndarray
-    weights: np.ndarray  # (K+1, P, M)
+    cash: np.ndarray  # (K+1, P), a read-only view of strategy.weights
+    weights: np.ndarray  # (K+1, P, M), another view
     ratio_target: np.ndarray  # (K+1, M) deterministic wealth fractions
     strategy: Holdings  # cash at 0, then the maturities
 

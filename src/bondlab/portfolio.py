@@ -195,14 +195,19 @@ class Holdings:
         object.__setattr__(self, "weights", weights)
 
     @classmethod
-    def cash_and_bonds(cls, name: str, grid: MaturityGrid, maturities, cash, weights):
-        """Cash (K+1, P) at 0, then (K+1, P, M) bonds at fixed maturities (M,)."""
+    def cash_and_bonds(cls, name: str, grid: MaturityGrid, maturities, table: np.ndarray):
+        """Cash at 0, then bonds at fixed maturities (M,).
+
+        table is (K+1, P, M+1) with the cash in column 0. It is kept as the
+        weights, not copied, so a plan's cash and bond weights can be views
+        of it.
+        """
         return cls(
             name=name,
             grid=grid,
             locations=np.concatenate([[0.0], maturities]),
             orders=np.zeros(len(maturities) + 1, dtype=np.int64),
-            weights=np.concatenate([cash[:, :, None], weights], axis=2),
+            weights=table,
         )
 
 
@@ -396,7 +401,8 @@ def pairings(
     groups = []
     for order in (0, 1):
         sel = hold.orders == order
-        if np.any(sel):
+        if sel.any():
+            sel = slice(None) if sel.all() else sel  # a view: one group copies nothing
             weights = np.ascontiguousarray(hold.weights[..., sel])
             groups.append((locations[..., sel], order, weights))
 

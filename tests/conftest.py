@@ -67,3 +67,36 @@ def market(grid, s1):
         "config": config,
         "path": path,
     }
+
+
+# --- reference formulas ---------------------------------------------------------
+# The library evaluates every atom through atoms_value_matrix and every inner
+# product through hs_inner_samples; these are the textbook forms its tests
+# compare against, so that no test checks a routine against itself.
+
+# numpy renamed trapz; support both without a deprecation warning
+_trapezoid = getattr(np, "trapezoid", None) or np.trapz
+
+
+def per_level_inner(f: Curve, h: Curve, s: SobolevIndex) -> float:
+    """E^s inner product with np.gradient per level and one trapezoid per level."""
+    dx = f.grid.dx
+    total = float(_trapezoid(f.g * h.g, dx=dx))
+    d1, d2 = f.g, h.g
+    for _ in range(s.s):
+        d1 = np.gradient(d1, dx, edge_order=2)
+        d2 = np.gradient(d2, dx, edge_order=2)
+        total += float(_trapezoid(d1 * d2, dx=dx))
+    return total + f.a * h.a
+
+
+def interp_pair(atoms, f: Curve) -> float:
+    """Atom pairing by np.interp: f(x) = interpolated g plus a, f'(x) = interpolated g'."""
+    nodes = f.grid.nodes
+    total = 0.0
+    for atom in atoms:
+        if atom.order == 0:
+            total += atom.weight * (float(np.interp(atom.location, nodes, f.g, right=0.0)) + f.a)
+        else:
+            total += atom.weight * float(np.interp(atom.location, nodes, f.derivative_values()))
+    return total

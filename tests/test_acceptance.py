@@ -219,7 +219,8 @@ def test_criterion_07_pseudo_inverse_solves():
     ]
     worst = 0.0
     for k in range(times.shape[0]):
-        x = np.array([[sobolev_inner(b, g, S1) for b in ops.B[k]] for g in curves])
+        B_k = [Curve(grid, g, a) for g, a in zip(ops.B[k], ops.B_a[k])]
+        x = np.array([[sobolev_inner(b, g, S1) for b in B_k] for g in curves])
         _, resid = solve_hedge_step(ops, k, x)
         worst = max(worst, float(np.max(resid / np.linalg.norm(x, axis=1))))
     assert worst <= 1e-10

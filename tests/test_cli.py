@@ -235,6 +235,7 @@ def test_hedge_constant_claim_replicates_exactly(tmp_path):
     i_err = header.index("error")
     assert max(abs(float(r[i_err])) for r in rows) == 0.0
     header, rows = _read_table(out / "hedge_report.csv")
+    assert header == ["t", "residual", "cash", "w_0", "w_1", "w_2"]
     for col, name in enumerate(header):
         if name.startswith("w_"):
             assert max(abs(float(r[col])) for r in rows) == 0.0

@@ -18,9 +18,11 @@ from bondlab.curve_space import (
     curve_to_csv,
     curve_to_json,
     derivative,
+    hs_inner_samples,
     multiply,
     pair,
     scale,
+    sobolev_gram,
     sobolev_inner,
     sobolev_norm,
     translate,
@@ -31,6 +33,8 @@ from bondlab.errors import (
     OrderUnsupported,
     ValidationFailure,
 )
+
+from conftest import interp_pair, per_level_inner
 
 
 def _exp_curve(grid: MaturityGrid, rate: float = 1.0, a: float = 0.0) -> Curve:
@@ -90,6 +94,55 @@ def test_inner_product_is_bilinear_and_symmetric():
         assert sobolev_inner(f, h, s) == pytest.approx(sobolev_inner(h, f, s), rel=1e-12)
 
 
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_inner_product_matches_per_level_trapezoid(order):
+    # the reference integrates each level on its own; only the summation
+    # order differs, so the two agree to rounding
+    grid = MaturityGrid(4.0, 257)
+    rng = np.random.default_rng(order)
+    s = SobolevIndex(order)
+    for _ in range(10):
+        f, h = _random_curve(grid, rng), _random_curve(grid, rng)
+        scale_fh = sobolev_norm(f, s) * sobolev_norm(h, s)
+        assert abs(sobolev_inner(f, h, s) - per_level_inner(f, h, s)) <= 1e-12 * scale_fh
+        assert sobolev_norm(f, s) ** 2 == pytest.approx(per_level_inner(f, f, s), rel=1e-12)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_norm_block_is_the_inner_product_of_a_block_with_itself(order):
+    # h = g takes one stencil pass per level and two scratch levels; a
+    # separate copy of the block takes two passes and four: same bits
+    rng = np.random.default_rng(20 + order)
+    g = rng.standard_normal((5, 33))
+    shared = g.copy()
+    norms = hs_inner_samples(shared, shared, 0.03, order, np.empty((2, 5, 33)))
+    pairs = hs_inner_samples(g.copy(), g.copy(), 0.03, order, np.empty((4, 5, 33)))
+    assert norms.tobytes() == pairs.tobytes()
+    h = rng.standard_normal((5, 33))
+    gh = hs_inner_samples(g.copy(), h, 0.03, order, np.empty((4, 5, 33)))
+    hg = hs_inner_samples(h.copy(), g, 0.03, order, np.empty((4, 5, 33)))
+    assert gh.tobytes() == hg.tobytes()
+    grid = MaturityGrid(0.96, 33)
+    for r in range(5):
+        f, k = Curve(grid, g[r], 0.0), Curve(grid, h[r], 0.0)
+        assert per_level_inner(f, k, SobolevIndex(order)) == pytest.approx(gh[r], rel=1e-12)
+
+
+def test_gram_entries_are_one_row_inner_products():
+    grid = MaturityGrid(4.0, 129)
+    rng = np.random.default_rng(6)
+    s = SobolevIndex(2)
+    curves = [[_random_curve(grid, rng) for _ in range(3)] for _ in range(4)]
+    g = np.array([[f.g for f in row] for row in curves])
+    a = np.array([[f.a for f in row] for row in curves])
+    gram = sobolev_gram(g, a, grid.dx, s)
+    assert gram.shape == (4, 3, 3)
+    for e, row in enumerate(curves):
+        for i in range(3):
+            for j in range(3):
+                assert gram[e, i, j] == sobolev_inner(row[i], row[j], s)
+
+
 def test_inner_product_rejects_grid_mismatch():
     f = _exp_curve(MaturityGrid(4.0, 257))
     h = _exp_curve(MaturityGrid(4.0, 129))
@@ -140,6 +193,22 @@ def test_pair_is_linear_in_curve_and_additive_in_atoms():
         assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
         split = sum(pair(atom, f, s) for atom in atoms)
         assert pair(atoms, f, s) == pytest.approx(split, rel=1e-12, abs=1e-14)
+
+
+def test_pair_matches_interpolation_reference():
+    grid = MaturityGrid(4.0, 257)
+    rng = np.random.default_rng(7)
+    s = SobolevIndex(2)
+    special = [0.0, grid.dx, 0.5 * grid.dx, 4.0 - grid.dx, 4.0]
+    for _ in range(20):
+        f = _random_curve(grid, rng)
+        locs = special + list(rng.uniform(0.0, 4.0, size=5))
+        orders = rng.integers(0, 2, size=len(locs))
+        atoms = [DualAtom(x, float(rng.uniform(-2.0, 2.0)), int(o)) for x, o in zip(locs, orders)]
+        # order-1 taps difference g + a where the reference differences g
+        size = float(np.max(np.abs(f.values())))
+        bound = sum(abs(atom.weight) * size / (grid.dx if atom.order else 1.0) for atom in atoms)
+        assert abs(pair(atoms, f, s) - interp_pair(atoms, f)) <= 1e-12 * bound
 
 
 def test_pair_rejects_atom_beyond_grid():
@@ -326,9 +395,36 @@ def test_multiply_rejects_grid_mismatch():
 def test_value_at_fills_constant_beyond_grid():
     grid = MaturityGrid(4.0, 257)
     f = _exp_curve(grid, a=0.5)
-    assert f.value_at(10.0) == pytest.approx(0.5, abs=1e-15)
+    assert f.value_at(10.0) == 0.5
+    assert f.derivative_at(10.0) == 0.0
+    both = f.value_at(np.array([[1.0, 10.0], [4.0, 4.5]]))
+    assert both.shape == (2, 2)
+    assert both[0, 1] == both[1, 1] == 0.5
+    assert both[1, 0] == pytest.approx(math.exp(-4.0) + 0.5, rel=1e-15)
+    assert np.array_equal(f.derivative_at(np.array([5.0, 1e300, np.inf])), np.zeros(3))
     with pytest.raises(AtomBeyondGrid):
         f.value_at(-1.0)
+
+
+@pytest.mark.parametrize("method", ["value_at", "derivative_at"])
+def test_point_evaluation_rejects_nan(method):
+    f = _exp_curve(MaturityGrid(4.0, 257), a=0.5)
+    with pytest.raises(AtomBeyondGrid):
+        getattr(f, method)(float("nan"))
+    with pytest.raises(AtomBeyondGrid):
+        getattr(f, method)(np.array([0.5, np.nan, 5.0]))
+
+
+def test_point_evaluation_matches_interpolation():
+    grid = MaturityGrid(4.0, 257)
+    rng = np.random.default_rng(11)
+    f = _random_curve(grid, rng)
+    x = np.concatenate([[0.0, grid.dx, 4.0], rng.uniform(0.0, 4.0, size=20)])
+    expected = np.interp(x, grid.nodes, f.g) + f.a
+    assert np.allclose(f.value_at(x), expected, rtol=1e-14, atol=1e-15)
+    slope = np.interp(x, grid.nodes, f.derivative_values())
+    assert np.allclose(f.derivative_at(x), slope, rtol=1e-12, atol=1e-12)
+    assert isinstance(f.value_at(1.0), float)
 
 
 def test_atoms_value_matrix_matches_value_at():
@@ -339,9 +435,10 @@ def test_atoms_value_matrix_matches_value_at():
     out = atoms_value_matrix(locs, values, grid)
     assert out.shape == (6, 9)
     for j in range(6):
-        f = Curve(grid, values[j], 0.0)
-        expected = [f.value_at(float(x)) for x in locs]
+        expected = np.interp(locs, grid.nodes, values[j])
         assert np.allclose(out[j], expected, rtol=1e-13, atol=1e-15)
+        f = Curve(grid, values[j], 0.0)
+        assert np.array_equal(f.value_at(locs), out[j])
     with pytest.raises(AtomBeyondGrid):
         atoms_value_matrix([4.5], values, grid)
     with pytest.raises(AtomBeyondGrid):

@@ -39,7 +39,7 @@ from bondlab.market_model import (
 from bondlab.portfolio import buy_and_hold_zero_coupon, ledger, value_path
 from bondlab.utility import log_utility, quadratic_utility
 
-from conftest import make_market
+from conftest import make_market, per_level_inner
 
 
 def _two_factor_schedule(grid):
@@ -87,6 +87,31 @@ def test_gram_orthogonal_factors_give_diagonal(grid, s1):
     assert off <= 1e-12 * math.sqrt(ops.A[0, 0, 0] * ops.A[0, 1, 1])
 
 
+@pytest.mark.parametrize("order", [1, 2])
+def test_gram_entries_are_inner_products_of_the_product_curves(grid, order):
+    # B_t^i must be multiply(L_t p0, sigma^i) bit for bit, and A_t its
+    # one-row inner products; the per-level trapezoid differs by rounding
+    s = SobolevIndex(order)
+    p0, _, _ = make_market(grid)
+    factors = (
+        humped_volatility(grid, 0.01),
+        humped_volatility(grid, 0.008, 0.5),
+        Curve(grid, -0.005 * np.exp(-grid.nodes), 0.005),  # nonzero constant part
+    )
+    zero = Curve(grid, np.zeros(grid.n_points), 0.0)
+    schedule = constant_coefficients(DriftCurve(zero), VolatilityOperator(factors))
+    times = np.linspace(0.0, 1.0, 5)
+    ops = gram_operators(p0, schedule, times, s)
+    for k, t in enumerate(times):
+        B = [multiply(translate(p0, float(t)), f) for f in factors]
+        for i in range(3):
+            assert ops.B[k, i].tobytes() == B[i].g.tobytes() and ops.B_a[k, i] == B[i].a
+            for j in range(3):
+                assert ops.A[k, i, j] == sobolev_inner(B[i], B[j], s)
+                bound = 1e-12 * math.sqrt(ops.A[k, i, i] * ops.A[k, j, j])
+                assert abs(ops.A[k, i, j] - per_level_inner(B[i], B[j], s)) <= bound
+
+
 # --- hedge-step solve ----------------------------------------------------------------
 
 
@@ -111,12 +136,13 @@ def test_solve_forward_map_round_trip(grid, s1):
             + rng.uniform(-1.0, 1.0) * grid.nodes * np.exp(-grid.nodes),
             float(rng.uniform(-0.5, 0.5)),
         )
-        x = np.array([sobolev_inner(b, g_curve, s1) for b in ops.B[k]])
+        B_k = [Curve(grid, g, a) for g, a in zip(ops.B[k], ops.B_a[k])]
+        x = np.array([sobolev_inner(b, g_curve, s1) for b in B_k])
         c, resid = solve_hedge_step(ops, k, x)
         assert resid <= 1e-10 * np.linalg.norm(x)
         # eta reproduces the same pairings
         eta = eta_curve(ops, k, c)
-        x_eta = np.array([sobolev_inner(b, eta, s1) for b in ops.B[k]])
+        x_eta = np.array([sobolev_inner(b, eta, s1) for b in B_k])
         assert np.allclose(x_eta, x, rtol=1e-9, atol=1e-16)
 
 
@@ -227,6 +253,21 @@ def test_complete_hedge_constant_claim_is_pure_cash(market):
     assert np.allclose(result.cash, c / path.value0, rtol=1e-12)
     led = ledger(result.strategy, path, schedule)
     assert np.allclose(led.wealth[-1], c, rtol=1e-10)
+
+
+def test_complete_hedge_stores_weights_once(market):
+    path, schedule = market["path"], market["schedule"]
+    ops = gram_operators(market["p0"], schedule, path.times, market["config"].s)
+    integrands = integrand_from_strategy(buy_and_hold_zero_coupon(2.0), path, schedule)
+    result = complete_hedge(ops, path, integrands, 0.9, gamma=market["gamma"])
+    table = result.strategy.weights
+    K, M = path.n_steps, result.atom_maturities.size
+    assert table.shape == (K + 1, path.n_paths, M + 1)
+    assert np.shares_memory(result.weights, table)
+    assert not result.weights.flags.writeable
+    assert result.weights.tobytes() == table[:K, :, 1:].tobytes()
+    assert np.all(table[K, :, 1:] == 0.0)
+    assert table[:, :, 0].tobytes() == result.cash.tobytes()
 
 
 def test_complete_hedge_round_trip_replicates_strategy(market):

@@ -219,7 +219,7 @@ def test_condition_c_one_factor_scalar_solve(grid, s1, market):
     theta0 = condition_C_portfolio(ops, gamma_nodes, maturities=S)
     sigma = market["schedule"].at(0.0)[1].factors[0]
     for k in (0, K1 // 2, K1 - 1):
-        l_S = float(atoms_value_matrix(S, ops.l[k].values(), ops.grid)[0])
+        l_S = float(atoms_value_matrix(S, ops.l[k] + ops.l_a, ops.grid)[0])
         s_S = float(atoms_value_matrix(S, sigma.values(), ops.grid)[0])
         assert theta0.weights[k, 0] == pytest.approx(0.2 / (l_S * s_S), rel=1e-12)
     assert np.allclose(theta0.condition_numbers, 1.0)
@@ -234,12 +234,12 @@ def test_condition_c_residual_certificate(grid, s1):
     theta0 = condition_C_portfolio(ops, gamma_nodes, maturities=mats)
     for k in range(5):
         mat = np.stack(
-            [atoms_value_matrix(mats, ops.B[k][i].values(), ops.grid) for i in range(2)]
+            [atoms_value_matrix(mats, ops.B[k, i] + ops.B_a[k, i], ops.grid) for i in range(2)]
         )
         resid = mat @ theta0.weights[k] - gamma_nodes[k]
         assert float(np.max(np.abs(resid))) <= 1e-10
         assert theta0.l_pair[k] == pytest.approx(
-            float(theta0.weights[k] @ atoms_value_matrix(mats, ops.l[k].values(), ops.grid)),
+            float(theta0.weights[k] @ atoms_value_matrix(mats, ops.l[k] + ops.l_a, ops.grid)),
             rel=1e-12,
         )
 
@@ -252,7 +252,7 @@ def test_condition_c_min_norm_with_extra_atoms(grid, s1):
     theta0 = condition_C_portfolio(ops, gamma_nodes, maturities=mats)
     for k in range(2):
         mat = np.stack(
-            [atoms_value_matrix(mats, ops.B[k][i].values(), ops.grid) for i in range(2)]
+            [atoms_value_matrix(mats, ops.B[k, i] + ops.B_a[k, i], ops.grid) for i in range(2)]
         )
         assert float(np.max(np.abs(mat @ theta0.weights[k] - gamma_nodes[k]))) <= 1e-10
         expected = np.linalg.lstsq(mat, gamma_nodes[k], rcond=None)[0]

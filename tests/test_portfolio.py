@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bondlab.curve_space import Curve, DualAtom, MaturityGrid, SobolevIndex, multiply, pair
+from bondlab.curve_space import Curve, DualAtom, MaturityGrid, SobolevIndex, multiply
 from bondlab.dynamics import SimConfig, forward_rate, simulate_mild, simulate_rollover
 from bondlab.errors import (
     AdaptednessViolation,
@@ -45,7 +45,7 @@ from bondlab.portfolio import (
 )
 
 from bondlab.utility import log_utility
-from conftest import make_market, make_zero_vol_market
+from conftest import interp_pair, make_market, make_zero_vol_market
 
 
 def _cash(weight=1.0):
@@ -437,7 +437,6 @@ def _random_holdings(draw):
 @given(hold=_random_holdings(), state_dependent=st.booleans())
 def test_pairings_agree_with_reference_pair(hold, state_dependent):
     path, schedule = _two_factor_ensemble(state_dependent)
-    s = path.config.s
     pr = pairings(hold, path, schedule)
     for k in range(path.n_steps + 1):
         for j in range(path.n_paths):
@@ -454,12 +453,12 @@ def test_pairings_agree_with_reference_pair(hold, state_dependent):
                     targets.append((multiply(curve, factor), pr.vol[k, j, i]))
             for f, got in targets:
                 # relative to the node values each atom reads: a derivative
-                # tap differences them over dx, and pair differentiates the
+                # tap differences them over dx, and the reference differentiates the
                 # grid part g where the batched taps difference g + a
                 size = float(np.max(np.abs(f.values())))
                 dx = path.config.grid.dx
                 scale = sum(abs(a.weight) * size / (dx if a.order else 1.0) for a in atoms)
-                assert abs(got - pair(atoms, f, s)) <= 1e-12 * scale
+                assert abs(got - interp_pair(atoms, f)) <= 1e-12 * scale
 
 
 _COEFFICIENT = st.floats(-3.0, 3.0, allow_subnormal=False)
