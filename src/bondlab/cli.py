@@ -68,7 +68,7 @@ from .hedging import (
     complete_hedge,
     default_atom_maturities,
     gram_operators,
-    integrand_from_strategy,
+    integrand_from_strategy,  # noqa: F401  bound here for perfbench's hedging.integrand probe
     weighted_condition_diagnostic,
 )
 from .hjb import closed_form_value, feedback_controls, solve_reduced_hjb
@@ -85,7 +85,7 @@ from .optimizer import (
     optimal_strategy_deterministic,
     solve_condition_C,
 )
-from .portfolio import ledger, node_request, pairings, strategy_from_spec
+from .portfolio import LedgerPath, ledger, node_request, pairings, strategy_from_spec
 from .utility import Utility, kernel_weight_of_wealth, log_utility
 
 __all__ = ["main"]
@@ -604,9 +604,10 @@ def _claim_payoff(claim, path, schedule, n_factors: int):
     K, P = path.n_steps, path.n_paths
     if isinstance(claim, float):
         return np.full(P, claim), claim, np.zeros((K, P, n_factors)), 0.0, "constant"
-    led = ledger(claim, path, schedule)
-    integrands = integrand_from_strategy(claim, path, schedule)
-    return led.wealth[K], led.wealth[0], integrands, led.max_residual, claim.name
+    # one pairing: the vol pairings of the claim's ledger are its integrands
+    pr = pairings(claim, path, schedule)
+    led = LedgerPath.from_pairings(claim.name, pr, path)
+    return led.wealth[K], led.wealth[0], pr.vol, led.max_residual, claim.name
 
 
 def _cmd_hedge(scn: dict, out: Path, fixed: bool) -> dict:
@@ -745,6 +746,10 @@ def _cmd_optimize(scn: dict, out: Path, fixed: bool) -> dict:
             )
             continue
         plans[key] = plan
+        # the primary plan is paired once, with the schedule, for its ledger too
+        pr = pairings(plan.strategy, path, market.schedule if spec is specs[0] else None)
+        if spec is specs[0]:
+            pr0 = pr
         rows.append(
             [
                 u.family,
@@ -754,7 +759,7 @@ def _cmd_optimize(scn: dict, out: Path, fixed: bool) -> dict:
                 plan.calibration.method,
                 plan.expected_utility,
                 _mean(plan.x_hat, fixed),
-                float(np.max(np.abs(pairings(plan.strategy, path).value - plan.Y))),
+                float(np.max(np.abs(pr.value - plan.Y))),
             ]
         )
     _write_csv(
@@ -775,7 +780,7 @@ def _cmd_optimize(scn: dict, out: Path, fixed: bool) -> dict:
     u0 = utilities[0]
     key0 = (u0.family, None if u0.family == "log" else u0.mu)
     plan0 = plans[key0]
-    led = ledger(plan0.strategy, path, market.schedule)
+    led = LedgerPath.from_pairings(plan0.strategy.name, pr0, path)
     led.to_csv(out / "ledger_optimal.csv")
     identity_audit = float(np.max(np.abs(led.wealth - plan0.Y)))
 

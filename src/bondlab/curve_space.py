@@ -55,6 +55,7 @@ __all__ = [
     "atoms_value_matrix",
     "atom_nodes",
     "translate",
+    "translate_rows",
     "derivative",
     "multiply",
     "scale",
@@ -341,23 +342,30 @@ def pair(atoms: DualAtom | Iterable[DualAtom], f: Curve, s: SobolevIndex | None 
 # --- curve operations ---------------------------------------------------------
 
 
-def translate(f: Curve, t: float) -> Curve:
-    """Left translation (L_t f)(x) = f(x + t); the constant part is fixed.
+def translate_rows(f: Curve, times) -> np.ndarray:
+    """Grid parts of the left translations L_t f at stacked times: (T, N).
 
-    The grid component is re-sampled by linear interpolation and is zero
-    wherever x + t > x_max.
+    The one computation of L_t f, e.g. of l_t = L_t p0: one np.interp call
+    over the stacked grids nodes + t. The grid component is re-sampled by
+    linear interpolation and is zero wherever x + t > x_max; the constant
+    part of every L_t f is f.a. L_0 is the identity.
     """
-    if t < 0.0:
-        raise ValidationFailure(f"translation time must be >= 0, got {t}")
-    if t == 0.0:
-        return f
-    x = f.grid.nodes + t
+    times = np.asarray(times, dtype=np.float64)
+    if not np.all(times >= 0.0):  # False at NaN
+        raise ValidationFailure(f"translation times must be >= 0, got {times}")
+    x = f.grid.nodes + times[:, None]
     # a shift by whole nodes can round a node a few ulps past x_max; it reads
     # the last node there, not the zero tail
     x_max = f.grid.x_max
     x[(x > x_max) & (x <= x_max * (1.0 + 8.0 * np.finfo(np.float64).eps))] = x_max
-    g_new = np.interp(x, f.grid.nodes, f.g, right=0.0)
-    return Curve(f.grid, g_new, f.a)
+    g = np.interp(x, f.grid.nodes, f.g, right=0.0)
+    g[times == 0.0] = f.g
+    return g
+
+
+def translate(f: Curve, t: float) -> Curve:
+    """Left translation (L_t f)(x) = f(x + t): one row of translate_rows."""
+    return f if t == 0.0 else Curve(f.grid, translate_rows(f, [t])[0], f.a)
 
 
 def derivative(f: Curve) -> Curve:

@@ -13,6 +13,12 @@ interpolation (the truncation tail inherits the curve's constant part).
 Under the martingale measure the same step runs with drift m - sigma gamma
 and Q-Brownian increments.
 
+The coefficients come from market_model.coefficient_table: once for all
+steps of a deterministic schedule, once per step and block of paths for a
+state-dependent one; one expression, _exponent_coefficients, turns either
+table into the exponent's coefficients. The norm diagnostics divide by
+L_t p0 from curve_space.translate_rows.
+
 Rates are read off the curve: forward rate f_t(x) = -p_t'(x)/p_t(x), short
 rate r_t = f_t(0). The boundary identity p_t(0) = exp(-int_0^t r) and the
 rollover identity connect the simulation to its continuum model and are
@@ -35,10 +41,10 @@ from .curve_space import (
     SobolevIndex,
     atoms_value_matrix,
     hs_inner_samples,
-    translate,
+    translate_rows,
 )
 from .errors import ConfigInvalid, DegenerateCurve, NonPositiveInitialCurve
-from .market_model import CoefficientSchedule, as_gamma_array
+from .market_model import CoefficientSchedule, as_gamma_array, coefficient_table
 
 __all__ = [
     "SimConfig",
@@ -268,27 +274,32 @@ def forward_rate(p: Curve, x: float) -> float:
 _BLOCK_PATHS = 256
 
 
-def _deterministic_coefficients(schedule: CoefficientSchedule, times, gamma_arr, dt: float):
-    """Per-step exponent coefficients of a deterministic schedule.
+def _exponent_coefficients(g: np.ndarray, a: np.ndarray, gamma, dt: float):
+    """Exponent coefficients of coefficient_table rows g (R, 1+n, N), a (R, 1+n).
 
-    Returns base (K, N), sig (K, n, N), base_a (K,) and sig_a (K, n): step k
-    multiplies the nodes by exp(dW sig[k] + base[k]) and the constant part by
-    exp(dW sig_a[k] + base_a[k]).
+    gamma is None (measure P), one (n,) vector for every row or (R, n) rows.
+    Returns base (R, N), sig (R, n, N), base_a (R,) and sig_a (R, n): row r
+    multiplies the nodes by exp(dW sig[r] + base[r]) and the constant part by
+    exp(dW sig_a[r] + base_a[r]), with base = (m - gamma sigma - 1/2 sum_i
+    (sigma^i)^2) dt. base and sig are views of g, which is overwritten, so
+    the table costs no second copy. The gamma and constant-part products are
+    matmuls: they round as the one-row products do, which an einsum does not.
+    Both products go through one (R, N) scratch: every large temporary freed
+    ahead of the block loop can move glibc's mmap threshold, so later
+    allocations land on the heap and the peak RSS grows.
     """
-    rows = []
-    for k in range(times.size - 1):
-        m_k, sig_k = schedule.at(float(times[k]))
-        sig_vals = sig_k.values_matrix()
-        sig_a = sig_k.constant_parts()
-        drift_vals = m_k.curve.values().copy()
-        drift_a = m_k.curve.a
-        if gamma_arr is not None:
-            drift_vals -= gamma_arr[k] @ sig_vals
-            drift_a -= float(gamma_arr[k] @ sig_a)
-        base = (drift_vals - 0.5 * np.einsum("in,in->n", sig_vals, sig_vals)) * dt
-        base_a = (drift_a - 0.5 * float(sig_a @ sig_a)) * dt
-        rows.append((base, sig_vals, base_a, sig_a))
-    return tuple(np.array(column) for column in zip(*rows))
+    g += a[..., None]  # node values
+    base, sig = g[:, 0], g[:, 1:]
+    drift_a, sig_a = a[:, 0], a[:, 1:]
+    scratch = np.empty_like(base)
+    if gamma is not None:
+        gamma = np.asarray(gamma)[..., None, :]
+        base -= np.matmul(gamma, sig, out=scratch[:, None, :])[:, 0]
+        drift_a = drift_a - np.matmul(gamma, sig_a[:, :, None])[..., 0, 0]
+    base -= np.multiply(np.einsum("rin,rin->rn", sig, sig, out=scratch), 0.5, out=scratch)
+    base *= dt
+    base_a = (drift_a - 0.5 * np.matmul(sig_a[:, None, :], sig_a[:, :, None])[:, 0, 0]) * dt
+    return base, sig, base_a, sig_a
 
 
 def _norm_batch(
@@ -352,7 +363,9 @@ def simulate_mild(
         CurvePath with recorded observables.
 
     Raises:
-        ConfigInvalid: inconsistent shapes, measure, or p0(0) != 1.
+        ConfigInvalid: inconsistent shapes, measure, or p0(0) != 1; or a
+            volatility factor count that changes with time.
+        GridMismatch: market coefficients sampled on another grid.
         NonPositiveInitialCurve: p0 has a non-positive node value.
         DegenerateCurve: a simulated curve is non-positive or NaN at x = 0
             (or q is non-positive when recording norms); carries the step
@@ -369,12 +382,12 @@ def simulate_mild(
     if measure not in ("P", "Q"):
         raise ConfigInvalid(f"measure must be 'P' or 'Q', got {measure!r}")
 
-    m0, sig0 = schedule.at(0.0, p0)
-    n_factors = sig0.n_factors
-    if sig0.grid != grid:
-        raise ConfigInvalid("volatility grid differs from simulation grid")
-
     K, P, N, dt, dx = config.n_steps, config.n_paths, grid.n_points, config.dt, grid.dx
+    times = config.times
+    # the whole table of a deterministic schedule; row 0 (at p0) of a state-dependent one
+    det = schedule.deterministic
+    table = coefficient_table(schedule, grid, times[:K] if det else 0.0, None if det else [p0])
+    n_factors = table[0].shape[1] - 1
     if noise is None:
         noise = brownian_increments(config, n_factors)
     else:
@@ -395,10 +408,8 @@ def simulate_mild(
     shift = dt / dx
     k0 = int(math.floor(shift))
     frac = shift - k0
-    times = config.times
 
-    if schedule.deterministic:
-        base, sig, base_a, sig_a = _deterministic_coefficients(schedule, times, gamma_arr, dt)
+    steps = _exponent_coefficients(*table, gamma_arr, dt) if det else None
 
     spot = np.empty((K + 1, P))
     value0 = np.empty((K + 1, P))
@@ -423,7 +434,8 @@ def simulate_mild(
     if record_norms:
         sup_p, sup_q, sup_qinv = np.empty(P), np.empty(P), np.empty(P)
         # L_t p0 on the nodes at every time
-        l_vals = [translate(p0, float(t)).values() for t in times]
+        l_vals = translate_rows(p0, times)
+        l_vals += p0.a
 
     def record(k: int, cols: slice, states: np.ndarray, fill: np.ndarray, norm_buf) -> None:
         """Store time k's observables of the paths in cols.
@@ -480,34 +492,25 @@ def simulate_mild(
         out = np.empty_like(states)
         fill = np.full(n_block, p0.a)
         fill_expo = np.empty(n_block)
-        if not schedule.deterministic:
-            # per-path exponent coefficients of the step, refilled every step
-            sig_k = np.empty((n_block, n_factors, N))
-            base_k = np.empty_like(states)
-            sig_ak = np.empty((n_block, n_factors, 1))
-            base_ak = np.empty((n_block, 1))
         norm_buf = np.empty((4,) + states.shape) if record_norms else None
         record(0, cols, states, fill, norm_buf)
         for k in range(K):
             dwk = noise[cols, k, :]
-            if schedule.deterministic:
-                sig_k, base_k, sig_ak, base_ak = sig[k], base[k], sig_a[k][:, None], base_a[k]
+            if det:
+                base_k, sig_k, base_ak, sig_ak = (c[k] for c in steps)
             else:
-                t = float(times[k])
-                for j in range(n_block):
-                    p_j = Curve(grid, states[j] - fill[j], float(fill[j]))
-                    m_j, sig_j = schedule.at(t, p_j)
-                    sig_vals = sig_k[j] = sig_j.values_matrix()
-                    sig_aj = sig_ak[j, :, 0] = sig_j.constant_parts()
-                    drift_vals = m_j.curve.values()
-                    drift_a = m_j.curve.a
-                    if gamma_arr is not None:
-                        drift_vals = drift_vals - gamma_arr[k] @ sig_vals
-                        drift_a = drift_a - float(gamma_arr[k] @ sig_aj)
-                    base_k[j] = (drift_vals - 0.5 * np.einsum("in,in->n", sig_vals, sig_vals)) * dt
-                    base_ak[j] = (drift_a - 0.5 * float(sig_aj @ sig_aj)) * dt
+                # every path's coefficients at t_k, sampled on its own curve
+                curves = [Curve(grid, states[j] - fill[j], float(fill[j])) for j in range(n_block)]
+                g, a = coefficient_table(schedule, grid, times[k], curves)
+                if g.shape[1] != n_factors + 1:
+                    raise ConfigInvalid(
+                        f"volatility has {g.shape[1] - 1} factors at t = {times[k]:g} "
+                        f"but {n_factors} at t = 0"
+                    )
+                gamma_k = None if gamma_arr is None else gamma_arr[k]
+                base_k, sig_k, base_ak, sig_ak = _exponent_coefficients(g, a, gamma_k, dt)
 
-            exponent(dwk, sig_ak, base_ak, fill_expo[:, None])
+            exponent(dwk, sig_ak[..., None], base_ak[..., None], fill_expo[:, None])
             fill = fill * np.exp(fill_expo)
             kernels.step_exp_shift(states, dwk, sig_k, base_k, fill, k0, frac, out)
             states, out = out, states
@@ -518,7 +521,7 @@ def simulate_mild(
     blocks = [slice(j, min(j + _BLOCK_PATHS, P)) for j in range(0, P, _BLOCK_PATHS)]
     # state-dependent schedules call user code per path: keep it on this thread
     n_threads = 1
-    if schedule.deterministic:
+    if det:
         cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
         n_threads = min(cores or 1, len(blocks))
     if n_threads > 1:

@@ -35,11 +35,16 @@ from .curve_space import (
     SobolevIndex,
     atoms_value_matrix,
     sobolev_gram,
-    translate,
+    translate_rows,
 )
 from .dynamics import CurvePath
 from .errors import ConfigInvalid, OutOfRange, ValidationFailure
-from .market_model import CoefficientSchedule, as_gamma_array, q_brownian_increments
+from .market_model import (
+    CoefficientSchedule,
+    as_gamma_array,
+    coefficient_table,
+    q_brownian_increments,
+)
 from .portfolio import Holdings, Strategy, pairings
 from .utility import Utility, conditional_coefficients
 
@@ -89,14 +94,15 @@ def gram_operators(
 ) -> HedgeOperators:
     """Build l_t, B_t^i and A_t = B*B on the time grid (deterministic sigma).
 
-    A holds every step and factor pair from one sobolev_gram call.
+    sigma_t comes from market_model.coefficient_table and l_t from
+    curve_space.translate_rows; A holds every step and factor pair from one
+    sobolev_gram call.
     """
     if not schedule.deterministic:
         raise ConfigInvalid("gram_operators needs a deterministic coefficient schedule")
-    sigmas = [schedule.at(float(t))[1] for t in times]
-    sig_g = np.array([[f.g for f in sig.factors] for sig in sigmas])
-    sig_a = np.array([sig.constant_parts() for sig in sigmas])
-    l = np.array([translate(p0, float(t)).g for t in times])[:, None, :]
+    g, a = coefficient_table(schedule, p0.grid, times)
+    sig_g, sig_a = g[:, 1:], a[:, 1:]
+    l = translate_rows(p0, times)[:, None, :]
     # multiply(l_t, sigma_t^i) for every step and factor: the same expression
     B = l * sig_g + p0.a * sig_g + sig_a[:, :, None] * l
     B_a = p0.a * sig_a

@@ -8,6 +8,13 @@ with m_t = sum_i gamma_t^i sigma_t^i; the solver below returns the
 minimum-norm solution of that linear system in the ambient Sobolev inner
 product and rejects drifts with a residual outside the span.
 
+A CoefficientSchedule maps a time (and, for state-dependent markets, the
+current curve) to m_t and sigma_t^i. coefficient_table is the one place
+where these samples become arrays: it stacks them for many times, or for
+many curves at one time, into a table of grid parts and a table of constant
+parts, and checks every row on the way. The simulator, the pairings, the
+hedge operators, the optimizer and the solver below all read that table.
+
 The Girsanov helpers turn a gamma path into the martingale density
 
     xi_t = exp(-1/2 int ||gamma||^2 ds - sum_i int gamma^i dW^i)
@@ -25,13 +32,14 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .curve_space import Curve, MaturityGrid, SobolevIndex, sobolev_gram, sobolev_norm
-from .errors import ArbitrageDetected, GridMismatch, ValidationFailure
+from .errors import ArbitrageDetected, ConfigInvalid, GridMismatch, ValidationFailure
 
 __all__ = [
     "VolatilityOperator",
     "DriftCurve",
     "MarketPriceOfRisk",
     "CoefficientSchedule",
+    "coefficient_table",
     "constant_coefficients",
     "humped_volatility",
     "decaying_volatility_family",
@@ -72,10 +80,6 @@ class VolatilityOperator:
     @property
     def grid(self) -> MaturityGrid:
         return self.factors[0].grid
-
-    def values_matrix(self) -> np.ndarray:
-        """(n_factors, n_points) node values."""
-        return np.stack([f.values() for f in self.factors])
 
     def constant_parts(self) -> np.ndarray:
         return np.array([f.a for f in self.factors])
@@ -137,6 +141,38 @@ class CoefficientSchedule:
         return self.sampler(t, p)
 
 
+def coefficient_table(
+    schedule: CoefficientSchedule, grid: MaturityGrid, times, curves=None
+) -> tuple[np.ndarray, np.ndarray]:
+    """m_t and sigma_t^i of a schedule at stacked times, as grid and constant parts.
+
+    Row j is schedule.at(times[j], curves[j]). A deterministic schedule takes
+    no curves. A state-dependent one takes one curve per row; a single time
+    then serves every row, as in one step of a block of paths.
+
+    Returns:
+        g (T, 1 + n, N): grid parts of m_t, then of each sigma_t^i.
+        a (T, 1 + n): their constant parts. Node values are g + a[..., None],
+        the bits of Curve.values().
+
+    Raises:
+        GridMismatch: a row's drift or factors live on another grid than grid.
+        ConfigInvalid: a row's factor count differs from row 0's.
+    """
+    times = np.atleast_1d(times) if curves is None else np.broadcast_to(times, (len(curves),))
+    samples = [schedule.at(float(t), p) for t, p in zip(times, curves or [None] * len(times))]
+    n = samples[0][1].n_factors
+    for t, (m, sig) in zip(times, samples):
+        if m.curve.grid != grid or sig.grid != grid:
+            raise GridMismatch(f"market coefficients at t = {t:g} live on another grid")
+        if sig.n_factors != n:
+            raise ConfigInvalid(
+                f"volatility has {sig.n_factors} factors at t = {t:g} but {n} at t = {times[0]:g}"
+            )
+    rows = [(m.curve,) + sig.factors for m, sig in samples]
+    return np.array([[f.g for f in r] for r in rows]), np.array([[f.a for f in r] for r in rows])
+
+
 def constant_coefficients(m: DriftCurve, sigma: VolatilityOperator) -> CoefficientSchedule:
     """Time-constant deterministic schedule."""
     return CoefficientSchedule("deterministic", lambda t, p: (m, sigma))
@@ -180,23 +216,20 @@ def solve_market_price_of_risk(
     """Minimum-norm gamma solving sum_i gamma^i sigma^i = m in E^s.
 
     The normal equations use the Gram matrix G_ij = (sigma^i, sigma^j)_{E^s}
-    and the right-hand side (sigma^i, m)_{E^s}, from one sobolev_gram call;
+    and the right-hand side (sigma^i, m)_{E^s}, from one sobolev_gram call
+    over the coefficient table of (m, sigma);
     eigenvalues below eps_rank * max are treated as kernel directions, which
     makes gamma the kernel-orthogonal representative when the factors are
     dependent (other solutions differ by kernel elements).
 
     Raises:
+        GridMismatch: the drift lives on another grid than the factors.
         ArbitrageDetected: residual norm ||m - sum gamma^i sigma^i|| exceeds
             eps_residual * ||m||.
     """
-    if m.curve.grid != sigma.grid:
-        raise GridMismatch("drift and volatility live on different grids")
-    n = sigma.n_factors
-    curves = sigma.factors + (m.curve,)
-    full = sobolev_gram(
-        np.array([f.g for f in curves]), np.array([f.a for f in curves]), sigma.grid.dx, s
-    )
-    gram, rhs = full[:n, :n], full[:n, n]
+    g, a = coefficient_table(constant_coefficients(m, sigma), sigma.grid, 0.0)
+    full = sobolev_gram(g[0], a[0], sigma.grid.dx, s)  # the drift first, then the factors
+    gram, rhs = full[1:, 1:], full[1:, 0]
 
     eigvals, eigvecs = np.linalg.eigh(gram)
     cutoff = eps_rank * max(eigvals.max(initial=0.0), 0.0)
@@ -205,8 +238,8 @@ def solve_market_price_of_risk(
     gamma = eigvecs @ (inv * (eigvecs.T @ rhs))
 
     # residual measured on the curve itself, not through the normal equations
-    res_g = m.curve.g - np.tensordot(gamma, [f.g for f in sigma.factors], axes=1)
-    res_a = m.curve.a - float(gamma @ sigma.constant_parts())
+    res_g = g[0, 0] - np.tensordot(gamma, g[0, 1:], axes=1)
+    res_a = a[0, 0] - float(gamma @ a[0, 1:])
     residual = sobolev_norm(Curve(sigma.grid, res_g, res_a), s)
     drift_norm = sobolev_norm(m.curve, s)
     if residual > eps_residual * max(drift_norm, 1e-300):

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curve_space import atoms_value_matrix, translate
+from .curve_space import atoms_value_matrix, translate_rows
 from .dynamics import CurvePath
 from .errors import (
     BracketFailure,
@@ -475,18 +475,18 @@ def optimal_strategy_log_stochastic(
     w0 = np.ones(M) if theta0_weights is None else np.asarray(theta0_weights, dtype=np.float64)
 
     # l_t = L_t p0 is deterministic even here
-    l_vals = np.stack([translate(path.p0, float(t)).values() for t in path.times])
+    l_vals = translate_rows(path.p0, path.times) + path.p0.a
     l_at = atoms_value_matrix(maturities, l_vals, grid)  # (K+1, M)
     l_pair = l_at @ w0
 
     # per-path gamma from the state-dependent volatility
-    n = schedule.at(0.0, path.p0)[1].n_factors
-    gamma_paths = np.empty((P, K, n))
+    gamma_steps = []
     for k in range(K):
         sigma = coefficient_rows(schedule, path, k)[1:]  # (n, N) or (n, P, N)
         at = atoms_value_matrix(maturities, l_vals[k], grid, coefficient=sigma)
         # one dot product per (factor, path): a matrix-vector product rounds differently
-        gamma_paths[:, k] = np.matmul(at[..., None, :], w0[:, None])[..., 0, 0].T
+        gamma_steps.append(np.matmul(at[..., None, :], w0[:, None])[..., 0, 0].T)
+    gamma_paths = np.stack([np.broadcast_to(g, (P, g.shape[-1])) for g in gamma_steps], axis=1)
     xi = np.exp(girsanov_log_path(gamma_paths, path.dw, cfg.dt))
     Y = (v / xi).T.copy()  # (K+1, P); for log utility y = Y
 

@@ -52,7 +52,7 @@ from .errors import (
     OrderUnsupported,
     ValidationFailure,
 )
-from .market_model import CoefficientSchedule
+from .market_model import CoefficientSchedule, coefficient_table
 
 __all__ = [
     "PathPrefix",
@@ -241,6 +241,22 @@ class LedgerPath:
     gains: np.ndarray  # (K+1, P)
     residual: np.ndarray  # (P,) sup_t |V_t - V_0 - G_t|
 
+    @classmethod
+    def from_pairings(cls, name: str, pr: Pairings, path: CurvePath) -> LedgerPath:
+        """Wealth, gains and self-financing residual of a strategy's pairings on a P-ensemble.
+
+        The gains are running sums of <theta, p m> dt + sum_i <theta, p sigma^i> dW^i.
+        """
+        if path.measure != "P":
+            raise ConfigInvalid(
+                "gains uses P-dynamics; for Q-ensembles accumulate against q_brownian_increments"
+            )
+        inc = pr.drift * path.config.dt
+        for i in range(pr.vol.shape[2]):
+            inc += pr.vol[:, :, i] * path.dw[:, :, i].T
+        V, G = pr.value, np.cumsum(np.concatenate([np.zeros((1, inc.shape[1])), inc]), axis=0)
+        return cls(name, path.times, V, G, np.max(np.abs(V - V[0] - G), axis=0))
+
     @property
     def max_residual(self) -> float:
         return float(np.max(self.residual))
@@ -327,17 +343,12 @@ def coefficient_rows(schedule: CoefficientSchedule, path: CurvePath, k: int) -> 
 
     A state-dependent schedule is sampled on every path's curve: (1 + n, P, N);
     that needs keep_states=True (ConfigInvalid on a column-only ensemble).
+    Both come from market_model.coefficient_table.
     """
-    t = float(path.times[k])
-
-    def rows(m, sig) -> list:
-        return [m.curve.values()] + [f.values() for f in sig.factors]
-
-    if schedule.deterministic:
-        return np.stack(rows(*schedule.at(t)))
-    return np.stack(
-        [rows(*schedule.at(t, path.curve_at(k, j))) for j in range(path.n_paths)], axis=1
-    )
+    curves = None if schedule.deterministic else [path.curve_at(k, j) for j in range(path.n_paths)]
+    g, a = coefficient_table(schedule, path.config.grid, path.times[k], curves)
+    rows = np.ascontiguousarray(np.moveaxis(g + a[..., None], 0, 1))  # (1 + n, 1 or P, N)
+    return rows[:, 0] if schedule.deterministic else rows
 
 
 def _pair_step(p: np.ndarray, coeff, groups, grid: MaturityGrid, nodes, k: int) -> np.ndarray:
@@ -432,21 +443,6 @@ def value_path(strategy: Strategy, path: CurvePath) -> np.ndarray:
     return pairings(strategy, path).value
 
 
-def _require_p(path: CurvePath) -> None:
-    if path.measure != "P":
-        raise ConfigInvalid(
-            "gains uses P-dynamics; for Q-ensembles accumulate against q_brownian_increments"
-        )
-
-
-def _accumulate_gains(pr: Pairings, path: CurvePath) -> np.ndarray:
-    """(K+1, P) gains: running sums of <theta, p m> dt + sum_i <theta, p sigma^i> dW^i."""
-    inc = pr.drift * path.config.dt
-    for i in range(pr.vol.shape[2]):
-        inc += pr.vol[:, :, i] * path.dw[:, :, i].T
-    return np.cumsum(np.concatenate([np.zeros((1, inc.shape[1])), inc]), axis=0)
-
-
 def gains(strategy: Strategy, path: CurvePath, schedule: CoefficientSchedule) -> np.ndarray:
     """(K+1, P) accumulated gains process of the strategy.
 
@@ -454,18 +450,12 @@ def gains(strategy: Strategy, path: CurvePath, schedule: CoefficientSchedule) ->
     p_k m_k and p_k sigma_k^i (consistent with curve multiplication), frozen
     at the left endpoint of each step.
     """
-    _require_p(path)
-    return _accumulate_gains(pairings(strategy, path, schedule), path)
+    return ledger(strategy, path, schedule).gains
 
 
 def ledger(strategy: Strategy, path: CurvePath, schedule: CoefficientSchedule) -> LedgerPath:
     """Wealth, gains, and per-path self-financing residual in one pass."""
-    _require_p(path)
-    pr = pairings(strategy, path, schedule)
-    V = pr.value
-    G = _accumulate_gains(pr, path)
-    residual = np.max(np.abs(V - V[0] - G), axis=0)
-    return LedgerPath(strategy.name, path.times, V, G, residual)
+    return LedgerPath.from_pairings(strategy.name, pairings(strategy, path, schedule), path)
 
 
 def self_financing_residual(

@@ -100,3 +100,45 @@ def interp_pair(atoms, f: Curve) -> float:
         else:
             total += atom.weight * float(np.interp(atom.location, nodes, f.derivative_values()))
     return total
+
+
+def interp_translate(f: Curve, t: float) -> np.ndarray:
+    """Grid part of L_t f by one np.interp call per time, the rule snapping to x_max included."""
+    if t == 0.0:
+        return f.g
+    x = f.grid.nodes + t
+    x_max = f.grid.x_max
+    x[(x > x_max) & (x <= x_max * (1.0 + 8.0 * np.finfo(np.float64).eps))] = x_max
+    return np.interp(x, f.grid.nodes, f.g, right=0.0)
+
+
+def _exponent_row(m, sig, gamma, dt):
+    """Exponent coefficients of one (DriftCurve, VolatilityOperator) sample."""
+    sig_vals = np.stack([f.values() for f in sig.factors])
+    sig_a = sig.constant_parts()
+    drift_vals = m.curve.values().copy()
+    drift_a = m.curve.a
+    if gamma is not None:
+        drift_vals -= gamma @ sig_vals
+        drift_a -= float(gamma @ sig_a)
+    base = (drift_vals - 0.5 * np.einsum("in,in->n", sig_vals, sig_vals)) * dt
+    base_a = (drift_a - 0.5 * float(sig_a @ sig_a)) * dt
+    return base, sig_vals, base_a, sig_a
+
+
+def deterministic_exponent_rows(schedule, times, gamma, dt):
+    """(base, sig, base_a, sig_a) of a deterministic schedule, one step at a time.
+
+    gamma is None or (K, n); the steps are times[:-1].
+    """
+    rows = [
+        _exponent_row(*schedule.at(float(times[k])), None if gamma is None else gamma[k], dt)
+        for k in range(len(times) - 1)
+    ]
+    return tuple(np.array(column) for column in zip(*rows))
+
+
+def per_path_exponent_rows(schedule, t, curves, gamma, dt):
+    """(base, sig, base_a, sig_a) of a state-dependent schedule, one path at a time."""
+    rows = [_exponent_row(*schedule.at(t, p), gamma, dt) for p in curves]
+    return tuple(np.array(column) for column in zip(*rows))

@@ -454,6 +454,33 @@ def test_optimize_solves_condition_c_once_for_all_families(tmp_path, monkeypatch
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("verb", ["hedge", "optimize"])
+def test_each_strategy_is_paired_once_per_verb(tmp_path, monkeypatch, verb):
+    import bondlab.cli as cli
+    import bondlab.hedging as hedging
+    import bondlab.portfolio as portfolio
+
+    calls = []
+    pair = portfolio.pairings
+
+    def counted(strategy, path, schedule=None):
+        calls.append((strategy.name, schedule is not None))
+        return pair(strategy, path, schedule)
+
+    # the verbs pair directly, through portfolio.ledger and through the hedging module
+    for module in (cli, hedging, portfolio):
+        monkeypatch.setattr(module, "pairings", counted)
+    rc, _, _ = _run(tmp_path, verb, _scenario())
+    assert rc == 0
+    names = [name for name, _ in calls]
+    assert len(names) == len(set(names)), calls
+    if verb == "hedge":  # the claim, then the completed hedge
+        assert calls == [("zero_coupon 2.0", True), ("completed_hedge", True)]
+    else:  # the primary log plan with the schedule, the other plans without
+        assert calls[0] == ("optimal_log", True) and len(calls) == 4
+        assert not any(with_schedule for _, with_schedule in calls[1:])
+
+
 def test_hedge_rejects_q_measure_scenarios(tmp_path, capsys):
     rc, _, _ = _run(tmp_path, "hedge", _scenario(measure="Q"))
     assert rc == 2

@@ -26,6 +26,7 @@ from bondlab.curve_space import (
     sobolev_inner,
     sobolev_norm,
     translate,
+    translate_rows,
 )
 from bondlab.errors import (
     AtomBeyondGrid,
@@ -34,7 +35,7 @@ from bondlab.errors import (
     ValidationFailure,
 )
 
-from conftest import interp_pair, per_level_inner
+from conftest import interp_pair, interp_translate, per_level_inner
 
 
 def _exp_curve(grid: MaturityGrid, rate: float = 1.0, a: float = 0.0) -> Curve:
@@ -314,6 +315,39 @@ def test_translate_rejects_negative_times():
     f = _exp_curve(MaturityGrid(4.0, 257))
     with pytest.raises(ValidationFailure):
         translate(f, -0.1)
+    for bad in ([0.5, -0.1], [float("nan")]):
+        with pytest.raises(ValidationFailure):
+            translate_rows(f, bad)
+
+
+def _snapping_shift(grid: MaturityGrid) -> float:
+    """A whole-node shift that rounds some node at most 8 ulp past x_max."""
+    eps = np.finfo(np.float64).eps
+    for k in range(1, grid.n_points):
+        x = grid.nodes + k * grid.dx
+        if np.any((x > grid.x_max) & (x <= grid.x_max * (1.0 + 8.0 * eps))):
+            return k * grid.dx
+    raise AssertionError("no whole-node shift rounds past x_max on this grid")
+
+
+@pytest.mark.parametrize("x_max, n_points", [(3.3, 61), (2.9, 97), (5.0, 101)])
+def test_translate_rows_match_one_interpolation_per_time(x_max, n_points):
+    grid = MaturityGrid(x_max, n_points)
+    f = _random_curve(grid, np.random.default_rng(n_points))
+    dx = grid.dx
+    times = np.array(
+        [0.0, dx, 7 * dx, 0.37 * dx, 0.3 * x_max, _snapping_shift(grid), x_max - dx, x_max, 2 * x_max]
+    )
+    rows = translate_rows(f, times)
+    assert rows.shape == (times.size, n_points)
+    for t, row in zip(times, rows):
+        expected = interp_translate(f, float(t))
+        assert row.tobytes() == expected.tobytes(), t
+        assert translate(f, float(t)).g.tobytes() == expected.tobytes(), t
+    assert rows[0].tobytes() == f.g.tobytes()
+    # the snapping shift reads the last node, not the zero tail
+    snapped = rows[5]
+    assert snapped[n_points - 1 - round(times[5] / dx)] == f.g[-1]
 
 
 # --- derivative --------------------------------------------------------------

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bondlab import dynamics
+from bondlab._kernels_py import exponent
 from bondlab.curve_space import (
     Curve,
     MaturityGrid,
@@ -37,11 +38,17 @@ from bondlab.market_model import (
     VolatilityOperator,
     constant_coefficients,
     decaying_volatility_family,
+    coefficient_table,
     humped_volatility,
     q_brownian_increments,
 )
 
-from conftest import make_market, make_zero_vol_market
+from conftest import (
+    deterministic_exponent_rows,
+    make_market,
+    make_zero_vol_market,
+    per_path_exponent_rows,
+)
 
 
 def _config(grid, s, horizon=1.0, n_steps=64, n_paths=16, seed=7):
@@ -547,7 +554,7 @@ def _prop_schedule(n_factors: int, state_dependent: bool):
     else:
         sigma = decaying_volatility_family(grid, 3, _PROP_S, weight_order=1.0)
     gamma = np.linspace(0.2, -0.1, n_factors)
-    drift = Curve(grid, gamma @ sigma.values_matrix(), 0.0)
+    drift = Curve(grid, gamma @ np.stack([f.values() for f in sigma.factors]), 0.0)
     if not state_dependent:
         return CoefficientSchedule("deterministic", lambda t, p: (DriftCurve(drift), sigma)), gamma
 
@@ -627,3 +634,88 @@ def test_many_threads_with_frequent_switches_match_one_block():
         sys.setswitchinterval(interval)
     for name in _BY_TIME + _BY_PATH:
         assert getattr(got, name).tobytes() == getattr(expected, name).tobytes(), name
+
+
+# --- exponent coefficients from the coefficient table ---------------------------------
+
+
+def assert_same_bits(got, expected):
+    """Tuples of arrays equal in shape and bits (also the sign of zero)."""
+    assert len(got) == len(expected)
+    for name, g, e in zip(("base", "sig", "base_a", "sig_a"), got, expected):
+        assert g.shape == e.shape, name
+        assert g.tobytes() == e.tobytes(), name
+
+
+def _time_varying_schedule(n_factors: int) -> CoefficientSchedule:
+    """Drift and factors that change with t; factor 0 has a nonzero constant part."""
+    grid = _PROP_GRID
+    if n_factors == 1:
+        sigma = VolatilityOperator((humped_volatility(grid, 0.01),))
+    else:
+        sigma = decaying_volatility_family(grid, 3, _PROP_S, weight_order=1.0)
+
+    def sampler(t, p):
+        c = 1.0 + 0.7 * t
+        first = Curve(grid, c * sigma.factors[0].g - 0.003, 0.003)  # vanishes at 0
+        factors = (first,) + tuple(Curve(grid, c * f.g, 0.0) for f in sigma.factors[1:])
+        drift = Curve(grid, np.sin(grid.nodes) * 0.01 * c - 0.001 * t, 0.001 * t)
+        return DriftCurve(drift), VolatilityOperator(factors)
+
+    return CoefficientSchedule("deterministic", sampler)
+
+
+@pytest.mark.parametrize("n_factors", [1, 3])
+@pytest.mark.parametrize("with_gamma", [False, True])
+def test_exponent_coefficients_of_a_deterministic_table_match_the_per_step_formula(
+    n_factors, with_gamma
+):
+    schedule = _time_varying_schedule(n_factors)
+    times = np.linspace(0.0, 0.8, 9)
+    dt = 0.1
+    gamma = None
+    if with_gamma:
+        gamma = np.linspace(0.2, -0.1, n_factors) * (1.0 + times[:-1, None])
+    table = coefficient_table(schedule, _PROP_GRID, times[:-1])
+    got = dynamics._exponent_coefficients(*table, gamma, dt)
+    assert_same_bits(got, deterministic_exponent_rows(schedule, times, gamma, dt))
+
+
+@pytest.mark.parametrize("n_factors", [1, 3])
+@pytest.mark.parametrize("with_gamma", [False, True])
+def test_exponent_coefficients_of_per_path_rows_match_the_per_path_formula(
+    n_factors, with_gamma
+):
+    schedule, gamma = _prop_schedule(n_factors, state_dependent=True)
+    path = _prop_run(12, seed=4, n_factors=n_factors, measure="P", horizon=0.8)
+    k = 5
+    t = float(path.times[k])
+    curves = [path.curve_at(k, j) for j in range(path.n_paths)]
+    gamma_k = gamma if with_gamma else None
+    table = coefficient_table(schedule, _PROP_GRID, t, curves)
+    got = dynamics._exponent_coefficients(*table, gamma_k, path.config.dt)
+    expected = per_path_exponent_rows(schedule, t, curves, gamma_k, path.config.dt)
+    assert_same_bits(got, expected)
+
+
+@pytest.mark.parametrize("measure", ["P", "Q"])
+def test_state_dependent_simulation_steps_with_the_per_path_formula(measure):
+    # one step of simulate_mild, redone with the per-path oracle and the kernel
+    schedule, gamma = _prop_schedule(3, state_dependent=True)
+    path = _prop_run(9, seed=2, n_factors=3, measure=measure, horizon=0.8, state_dependent=True)
+    cfg = path.config
+    shift = cfg.dt / cfg.grid.dx
+    k0 = int(math.floor(shift))
+    for k in (0, 3):
+        curves = [path.curve_at(k, j) for j in range(path.n_paths)]
+        base, sig, base_a, sig_a = per_path_exponent_rows(
+            schedule, float(path.times[k]), curves, gamma if measure == "Q" else None, cfg.dt
+        )
+        dw = path.dw[:, k]
+        expo = np.empty((path.n_paths, 1))
+        exponent(dw, sig_a[:, :, None], base_a[:, None], expo)
+        fill = path.fill[k] * np.exp(expo[:, 0])
+        out = np.empty_like(path.states[k])
+        dynamics.kernels.step_exp_shift(path.states[k], dw, sig, base, fill, k0, shift - k0, out)
+        assert out.tobytes() == path.states[k + 1].tobytes()
+        assert fill.tobytes() == path.fill[k + 1].tobytes()

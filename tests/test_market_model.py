@@ -6,11 +6,15 @@ import pytest
 from scipy import stats
 
 from bondlab.curve_space import Curve, MaturityGrid, SobolevIndex, sobolev_inner
-from bondlab.errors import ArbitrageDetected, ValidationFailure
+from bondlab.dynamics import SimConfig, flat_forward_curve, simulate_mild
+from bondlab.errors import ArbitrageDetected, ConfigInvalid, GridMismatch, ValidationFailure
+from bondlab.hedging import gram_operators
 from bondlab.market_model import (
+    CoefficientSchedule,
     DriftCurve,
     VolatilityOperator,
     as_gamma_array,
+    coefficient_table,
     decaying_volatility_family,
     girsanov_density_path,
     girsanov_log_path,
@@ -19,6 +23,7 @@ from bondlab.market_model import (
     solve_market_price_of_risk,
     strong_arbitrage_diagnostic,
 )
+from bondlab.portfolio import pairings, strategy_from_spec
 
 
 def _grid():
@@ -215,3 +220,88 @@ def test_diagnostic_flags_heavy_tailed_ensemble():
     g += 0.01 * rng.standard_normal(g.shape)
     report = strong_arbitrage_diagnostic(g, 0.125)
     assert not report["stable"]
+
+
+# --- the coefficient table checks every sample ---------------------------------------
+
+_TABLE_GRID = MaturityGrid(4.0, 65)
+_OTHER_GRID = MaturityGrid(8.0, 65)
+
+
+def _sigma(grid, n_factors=1):
+    return VolatilityOperator(
+        tuple(humped_volatility(grid, 0.01, decay=1.0 + i) for i in range(n_factors))
+    )
+
+
+def _schedule(drift_grid=_TABLE_GRID, late_sigma=None, kind="deterministic"):
+    """Deterministic schedule on _TABLE_GRID; from t = 0.5 on, late_sigma if given."""
+    m = DriftCurve(Curve(drift_grid, 0.2 * humped_volatility(drift_grid, 0.01).g, 0.0))
+    sigma = _sigma(_TABLE_GRID)
+
+    def sampler(t, p):
+        return m, (late_sigma if late_sigma is not None and t >= 0.5 else sigma)
+
+    return CoefficientSchedule(kind, sampler)
+
+
+def _consumers(schedule):
+    """simulate_mild, pairings and gram_operators, each sampling the schedule."""
+    config = SimConfig(_TABLE_GRID, SobolevIndex(1), 1.0, 4, 3, seed=1)
+    p0 = flat_forward_curve(_TABLE_GRID, 0.05)
+    path = simulate_mild(p0, _schedule(), config, keep_states=True)
+    cash = strategy_from_spec({"kind": "cash"})
+    return {
+        "simulate_mild": lambda: simulate_mild(p0, schedule, config),
+        "pairings": lambda: pairings(cash, path, schedule),
+        "gram_operators": lambda: gram_operators(p0, schedule, config.times, config.s),
+    }
+
+
+@pytest.mark.parametrize(
+    "schedule, consumers, error, message",
+    [
+        # a drift on another grid of the same node count
+        (_schedule(drift_grid=_OTHER_GRID), None, GridMismatch, r"at t = 0 "),
+        # a drift with another node count
+        (_schedule(drift_grid=MaturityGrid(4.0, 129)), None, GridMismatch, r"at t = 0 "),
+        # the factor count changes at t = 0.5
+        (
+            _schedule(late_sigma=_sigma(_TABLE_GRID, 2)),
+            ("simulate_mild", "gram_operators"),
+            ConfigInvalid,
+            r"2 factors at t = 0.5 but 1 at t = 0",
+        ),
+        # the factors move to another grid at t = 0.5
+        (_schedule(late_sigma=_sigma(_OTHER_GRID)), None, GridMismatch, r"at t = 0.5 "),
+    ],
+    ids=["drift_grid", "drift_nodes", "factor_count", "late_factor_grid"],
+)
+def test_every_coefficient_sample_is_checked(schedule, consumers, error, message):
+    times = np.linspace(0.0, 1.0, 5)
+    with pytest.raises(error, match=message):
+        coefficient_table(schedule, _TABLE_GRID, times)
+    for name, call in _consumers(schedule).items():
+        if consumers is None or name in consumers:
+            with pytest.raises(error, match=message):
+                call()
+
+
+def test_a_state_dependent_factor_count_change_is_named():
+    schedule = _schedule(late_sigma=_sigma(_TABLE_GRID, 2), kind="state-dependent")
+    with pytest.raises(ConfigInvalid, match=r"2 factors at t = 0.5 but 1 at t = 0"):
+        _consumers(schedule)["simulate_mild"]()
+
+
+def test_coefficient_table_stacks_grid_and_constant_parts():
+    factor = Curve(_TABLE_GRID, humped_volatility(_TABLE_GRID, 0.01).g - 0.002, 0.002)
+    sigma = VolatilityOperator((factor, humped_volatility(_TABLE_GRID, 0.02)))
+    m = DriftCurve(Curve(_TABLE_GRID, 0.1 * factor.g - 0.001, 0.001 + 0.1 * factor.a))
+    schedule = CoefficientSchedule("deterministic", lambda t, p: (m, sigma))
+    g, a = coefficient_table(schedule, _TABLE_GRID, [0.0, 0.25, 0.5])
+    assert g.shape == (3, 3, 65) and a.shape == (3, 3)
+    curves = (m.curve,) + sigma.factors
+    for row_g, row_a in zip(g, a):
+        for f, fg, fa in zip(curves, row_g, row_a):
+            assert fg.tobytes() == f.g.tobytes() and fa == f.a
+            assert (fg + fa).tobytes() == f.values().tobytes()

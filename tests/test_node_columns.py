@@ -22,7 +22,12 @@ from bondlab.dynamics import (
 )
 from bondlab.errors import ConfigInvalid, NodeNotRecorded, ValidationFailure
 from bondlab.hedging import complete_hedge, default_atom_maturities, gram_operators
-from bondlab.market_model import CoefficientSchedule, DriftCurve, VolatilityOperator
+from bondlab.market_model import (
+    CoefficientSchedule,
+    DriftCurve,
+    VolatilityOperator,
+    coefficient_table,
+)
 from bondlab.optimizer import optimal_strategy_deterministic, solve_condition_C
 from bondlab.portfolio import (
     PathPrefix,
@@ -33,7 +38,7 @@ from bondlab.portfolio import (
 )
 from bondlab.utility import log_utility
 
-from conftest import make_market
+from conftest import make_market, per_path_exponent_rows
 
 _GRID = MaturityGrid(4.0, 129)  # dx = 1 / 32: node locations are exact
 _K, _P = 8, 5
@@ -212,3 +217,17 @@ def test_whole_curve_accessors_ask_for_keep_states_on_a_column_only_path():
         call(full)  # the full path serves them
         with pytest.raises(ConfigInvalid, match="keep_states=True"):
             call(cols)
+
+
+@pytest.mark.parametrize("gamma", [None, np.array([0.2])])
+def test_exponent_coefficients_of_the_state_dependent_sampler_match_the_per_path_formula(gamma):
+    schedule = _state_dependent_schedule()
+    full, _ = _pair_of_runs(np.ones((_K + 1, _GRID.n_points), dtype=bool), schedule=schedule)
+    for k in (0, 4):
+        t = float(full.times[k])
+        curves = [full.curve_at(k, j) for j in range(_P)]
+        table = coefficient_table(schedule, _GRID, t, curves)
+        got = dynamics._exponent_coefficients(*table, gamma, full.config.dt)
+        expected = per_path_exponent_rows(schedule, t, curves, gamma, full.config.dt)
+        for g, e in zip(got, expected):
+            assert g.shape == e.shape and g.tobytes() == e.tobytes()
