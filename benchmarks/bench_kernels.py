@@ -1,4 +1,4 @@
-"""Benchmark the compiled ensemble-step kernel against the numpy fallback.
+"""Benchmark the compiled ensemble-step kernel against the numpy reference.
 
 Runs the fused exponent/exp/multiply/shift step on a representative
 one-factor ensemble and reports, for each available backend, nanoseconds per

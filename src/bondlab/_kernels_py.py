@@ -1,8 +1,8 @@
-"""Numpy implementation of the ensemble step kernel.
+"""Numpy reference for the ensemble step kernel.
 
-Semantics must match bondlab._kernels exactly (same branch structure), so the
-compiled and fallback backends agree to floating-point noise. One simulation
-step maps each path's node values p to
+The compiled bondlab._kernels implements the same contract with the same
+branch structure, and its tests compare it with this one to floating-point
+noise. One simulation step maps each path's node values p to
 
     (L_dt [p * exp(c)])(x_j),   c = dw sig + base,
 
@@ -15,9 +15,6 @@ k0 * dx + frac * dx with 0 <= frac < 1.
 from __future__ import annotations
 
 import numpy as np
-
-BACKEND = "python"
-FLAGS = None  # compile flags; the compiled backend reports its own
 
 
 def exponent(dw: np.ndarray, sig: np.ndarray, base, out: np.ndarray) -> None:

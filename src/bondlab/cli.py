@@ -13,6 +13,11 @@ reproducible; with --fixed-order all statistical reductions use compensated
 fixed-order summation and outputs are byte-identical across runs. No
 timestamps or absolute paths appear in any artifact.
 
+Each CSV table is a mapping of named columns, laid out from the ensemble's
+tables with np.repeat, np.tile and ravel, and written by one _write_csv.
+Each per-path mean and standard error comes from one reduction over the
+path axis, _path_mean.
+
 Exit codes: 0 success, 2 validation error, 3 numerical failure (including
 numpy's LinAlgError), 4 internal error (a ValueError, TypeError or
 LookupError raised by a verb outside its reading of the scenario, such as
@@ -352,18 +357,16 @@ def _drift(spec: dict, sigma: VolatilityOperator, grid: MaturityGrid, s: Sobolev
 # --- deterministic writers -------------------------------------------------------
 
 
-def _fmt(x) -> str:
-    if isinstance(x, str):
-        return x
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return f"{float(x):.17g}"
+def _write_csv(path: Path, columns: dict) -> None:
+    """One table from named, equal-length 1-D columns, in the mapping's order.
 
-
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(cell) for cell in row) for row in rows)
-    path.write_text("\n".join(lines) + "\n")
+    Float columns print with 17 significant digits (enough to round-trip),
+    integer and string columns as they are.
+    """
+    cells = [np.asarray(c) for c in columns.values()]
+    template = ",".join("{:.17g}" if c.dtype.kind == "f" else "{}" for c in cells)
+    rows = map(template.format, *(c.tolist() for c in cells))
+    path.write_text("\n".join([",".join(columns), *rows]) + "\n")
 
 
 def _jsonable(obj):
@@ -386,31 +389,34 @@ def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(_jsonable(obj), indent=2, sort_keys=True) + "\n")
 
 
-def _mean(arr, fixed_order: bool) -> float:
-    arr = np.asarray(arr, dtype=np.float64).ravel()
-    if fixed_order:
-        return math.fsum(arr.tolist()) / arr.size
-    return float(np.mean(arr))
+def _path_mean(table, fixed_order: bool, se: bool = False):
+    """Mean over the paths of each row of an (R, P) table, or of a (P,) row.
 
-
-def _mean_se(arr, fixed_order: bool) -> tuple[float, float]:
-    arr = np.asarray(arr, dtype=np.float64).ravel()
-    n = arr.size
-    m = _mean(arr, fixed_order)
-    if n < 2:
-        return m, 0.0
+    Returns (R,) means, or a scalar for a row; with se=True, the pair
+    (mean, standard error). Each row is reduced where it lies, whatever the
+    table's layout: math.fsum with fixed_order, else numpy's pairwise sum
+    along the row. A reduction over another axis of a table adds in another
+    order, and a transposed copy of a (K+1, P, M) table costs its size
+    again, so callers pass one (K+1, P) column view at a time.
+    """
+    shape = np.shape(table)[:-1]
+    rows = np.atleast_2d(table)
+    n = rows.shape[-1]
     if fixed_order:
-        var = math.fsum(((x - m) ** 2 for x in arr.tolist())) / (n - 1)
+        rows = rows.tolist()
+        mean = [math.fsum(r) / n for r in rows]
     else:
-        var = float(np.var(arr, ddof=1))
-    return m, math.sqrt(var / n)
-
-
-def _rms(arr, fixed_order: bool) -> float:
-    arr = np.asarray(arr, dtype=np.float64).ravel()
-    if fixed_order:
-        return math.sqrt(math.fsum((x * x for x in arr.tolist())) / arr.size)
-    return float(np.sqrt(np.mean(arr * arr)))
+        mean = [np.mean(r) for r in rows]
+    mean_out = np.reshape(mean, shape)[()]  # [()]: a scalar for a row
+    if not se:
+        return mean_out
+    if n < 2:
+        var = np.zeros(len(mean))
+    elif fixed_order:
+        var = [math.fsum((x - m) ** 2 for x in r) / (n - 1) for r, m in zip(rows, mean)]
+    else:
+        var = [np.var(r, ddof=1) for r in rows]
+    return mean_out, np.reshape(np.sqrt(np.divide(var, n)), shape)[()]
 
 
 # --- schema documentation --------------------------------------------------------
@@ -506,29 +512,40 @@ def _cmd_simulate(scn: dict, out: Path, fixed: bool) -> dict:
         rollover_maturity = float(scn["rollover_maturity"])
         strategies = [strategy_from_spec(spec) for spec in scn["strategies"]]
     path = market.simulate(record_norms=True, record_locations=maturities)
+    K1, M = path.times.shape[0], maturities.shape[0]
 
-    rows = []
-    for k, t in enumerate(path.times):
-        for j, x in enumerate(maturities):
-            m, se = _mean_se(path.observations[k, :, j], fixed)
-            rows.append([t, x, m, se])
-    _write_csv(out / "curves.csv", ["t", "x", "mean_p", "se_p"], rows)
-
-    rows = []
-    for p in range(cfg.n_paths):
-        for j, x in enumerate(maturities):
-            rows.append([p, x, path.observations[-1, p, j]])
-    _write_csv(out / "terminal_curves.csv", ["path", "x", "p"], rows)
-
-    rows = []
-    for k, t in enumerate(path.times):
-        mr, ser = _mean_se(path.spot[k], fixed)
-        mv, sev = _mean_se(path.value0[k], fixed)
-        rows.append([t, mr, ser, mv, sev])
+    # (K+1, M) statistics, one maturity column of the observations at a time
+    mean_p, se_p = np.stack(
+        [_path_mean(path.observations[..., j], fixed, se=True) for j in range(M)], axis=-1
+    )
+    _write_csv(
+        out / "curves.csv",
+        {
+            "t": np.repeat(path.times, M),
+            "x": np.tile(maturities, K1),
+            "mean_p": mean_p.ravel(),
+            "se_p": se_p.ravel(),
+        },
+    )
+    _write_csv(
+        out / "terminal_curves.csv",
+        {
+            "path": np.repeat(np.arange(cfg.n_paths), M),
+            "x": np.tile(maturities, cfg.n_paths),
+            "p": path.observations[-1].ravel(),
+        },
+    )
+    mean_r, se_r = _path_mean(path.spot, fixed, se=True)
+    mean_v, se_v = _path_mean(path.value0, fixed, se=True)
     _write_csv(
         out / "rates.csv",
-        ["t", "mean_short_rate", "se_short_rate", "mean_value0", "se_value0"],
-        rows,
+        {
+            "t": path.times,
+            "mean_short_rate": mean_r,
+            "se_short_rate": se_r,
+            "mean_value0": mean_v,
+            "se_value0": se_v,
+        },
     )
     _write_json(out / "moments.json", moment_diagnostic(path))
 
@@ -543,23 +560,18 @@ def _cmd_simulate(scn: dict, out: Path, fixed: bool) -> dict:
         n_paths=int(scn["detail_paths"]), keep_states=node_request(cfg.grid, cfg.times, reads)
     )
     roll = simulate_rollover(detail, rollover_maturity)
-    rows = []
-    for k, t in enumerate(roll.times):
-        mw, sew = _mean_se(roll.wealth[k], fixed)
-        rows.append(
-            [
-                t,
-                _mean(roll.forward[k], fixed),
-                _mean(roll.account[k], fixed),
-                _mean(roll.bond_value[k], fixed),
-                mw,
-                sew,
-            ]
-        )
+    mean_account = _path_mean(roll.account, fixed)
+    mean_wealth, se_wealth = _path_mean(roll.wealth, fixed, se=True)
     _write_csv(
         out / "rollover.csv",
-        ["t", "mean_forward", "mean_account", "mean_bond_value", "mean_wealth", "se_wealth"],
-        rows,
+        {
+            "t": roll.times,
+            "mean_forward": _path_mean(roll.forward, fixed),
+            "mean_account": mean_account,
+            "mean_bond_value": _path_mean(roll.bond_value, fixed),
+            "mean_wealth": mean_wealth,
+            "se_wealth": se_wealth,
+        },
     )
 
     ledger_residuals = {}
@@ -577,11 +589,8 @@ def _cmd_simulate(scn: dict, out: Path, fixed: bool) -> dict:
         "gamma": market.gamma,
         "gamma_info": market.gamma_info,
         "boundary_residual": boundary_residual(path),
-        "terminal_mean": {
-            _fmt(x): _mean(path.observations[-1, :, j], fixed)
-            for j, x in enumerate(maturities)
-        },
-        "rollover_terminal_account_mean": _mean(roll.account[-1], fixed),
+        "terminal_mean": {f"{x:.17g}": m for x, m in zip(maturities.tolist(), mean_p[-1])},
+        "rollover_terminal_account_mean": mean_account[-1],
         "ledgers": ledger_residuals,
     }
     _write_json(out / "summary.json", summary)
@@ -651,26 +660,24 @@ def _cmd_hedge(scn: dict, out: Path, fixed: bool) -> dict:
     err_ledger = led.wealth[0] + led.gains[-1] - X
 
     M = result.atom_maturities.shape[0]
-    rows = []
-    for k in range(cfg.n_steps):
-        row = [
-            float(cfg.times[k]),
-            float(np.max(result.gram_residual[k])),
-            _mean(result.cash[k], fixed),
-        ]
-        row.extend(_mean(result.weights[k, :, j], fixed) for j in range(M))
-        rows.append(row)
     _write_csv(
         out / "hedge_report.csv",
-        ["t", "residual", "cash"] + [f"w_{j}" for j in range(M)],
-        rows,
+        {
+            "t": cfg.times[: cfg.n_steps],
+            "residual": np.max(result.gram_residual, axis=1),
+            "cash": _path_mean(result.cash[: cfg.n_steps], fixed),
+            **{f"w_{j}": _path_mean(result.weights[..., j], fixed) for j in range(M)},
+        },
     )
-    rows = [
-        [p, X[p], result.conditional_value[-1, p], err_prop[p], err_ledger[p]]
-        for p in range(cfg.n_paths)
-    ]
     _write_csv(
-        out / "replication.csv", ["path", "claim", "value", "error", "ledger_error"], rows
+        out / "replication.csv",
+        {
+            "path": np.arange(cfg.n_paths),
+            "claim": X,
+            "value": result.conditional_value[-1],
+            "error": err_prop,
+            "ledger_error": err_ledger,
+        },
     )
     diag = weighted_condition_diagnostic(ops.A, weight_index)
     _write_json(
@@ -684,11 +691,11 @@ def _cmd_hedge(scn: dict, out: Path, fixed: bool) -> dict:
     summary = {
         "backend": kernels.backend_name(),
         "claim": label,
-        "price0": _mean(np.broadcast_to(price0, (cfg.n_paths,)), fixed),
+        "price0": _path_mean(np.broadcast_to(price0, (cfg.n_paths,)), fixed),
         "atom_maturities": result.atom_maturities,
         "claim_reference_residual": ref_residual,
-        "rms_replication_error": _rms(err_ledger, fixed),
-        "rms_propagation_error": _rms(err_prop, fixed),
+        "rms_replication_error": np.sqrt(_path_mean(err_ledger * err_ledger, fixed)),
+        "rms_propagation_error": np.sqrt(_path_mean(err_prop * err_prop, fixed)),
         "max_gram_residual": float(np.max(result.gram_residual)),
         "hedge_ledger_residual": led.max_residual,
     }
@@ -758,24 +765,12 @@ def _cmd_optimize(scn: dict, out: Path, fixed: bool) -> dict:
                 plan.lambda_hat,
                 plan.calibration.method,
                 plan.expected_utility,
-                _mean(plan.x_hat, fixed),
+                _path_mean(plan.x_hat, fixed),
                 float(np.max(np.abs(pr.value - plan.Y))),
             ]
         )
-    _write_csv(
-        out / "comparison.csv",
-        [
-            "family",
-            "mu",
-            "status",
-            "lambda_hat",
-            "method",
-            "expected_utility",
-            "mean_terminal_wealth",
-            "identity_residual",
-        ],
-        rows,
-    )
+    header = _SCHEMA["comparison.csv"]["columns"]
+    _write_csv(out / "comparison.csv", dict(zip(header, map(np.array, zip(*rows)))))
 
     u0 = utilities[0]
     key0 = (u0.family, None if u0.family == "log" else u0.mu)
@@ -785,18 +780,15 @@ def _cmd_optimize(scn: dict, out: Path, fixed: bool) -> dict:
     identity_audit = float(np.max(np.abs(led.wealth - plan0.Y)))
 
     M = plan0.theta0.maturities.shape[0]
-    rows = []
-    for k, t in enumerate(cfg.times):
-        row = [float(t)]
-        row.extend(plan0.theta0.weights[k, j] for j in range(M))
-        row.extend(
-            [_mean(plan0.Y[k], fixed), _mean(plan0.y[k], fixed), _mean(plan0.cash[k], fixed)]
-        )
-        rows.append(row)
     _write_csv(
         out / "coefficients.csv",
-        ["t"] + [f"theta0_w_{j}" for j in range(M)] + ["mean_Y", "mean_y", "mean_cash"],
-        rows,
+        {
+            "t": cfg.times,
+            **{f"theta0_w_{j}": plan0.theta0.weights[:, j] for j in range(M)},
+            "mean_Y": _path_mean(plan0.Y, fixed),
+            "mean_y": _path_mean(plan0.y, fixed),
+            "mean_cash": _path_mean(plan0.cash, fixed),
+        },
     )
 
     fund_key = ("log", None)
@@ -828,11 +820,7 @@ def _cmd_optimize(scn: dict, out: Path, fixed: bool) -> dict:
             top = sv[..., 0]
             ratio = np.divide(sv[..., 1], top, out=np.zeros_like(top), where=top > 0.0)
             ratios = np.max(ratio, axis=1, initial=0.0)
-        _write_csv(
-            out / "mutual_fund.csv",
-            ["t", "max_sv_ratio"],
-            [[float(t), ratios[k]] for k, t in enumerate(cfg.times)],
-        )
+        _write_csv(out / "mutual_fund.csv", {"t": cfg.times, "max_sv_ratio": ratios})
         mutual_fund["max_sv_ratio"] = float(np.max(ratios))
 
     plan_report = {
@@ -883,36 +871,31 @@ def _cmd_hjb(scn: dict, out: Path, fixed: bool) -> dict:
     gamma = market.gamma
     n = gamma.shape[0]
     w_int = vg.wealth[1:-1]
-    all_controls = feedback_controls(vg, gamma)
-    rows = []
-    for k, t in enumerate(vg.times):
-        for iw, w in enumerate(w_int):
-            rows.append([float(t), float(w), vg.F[k, iw + 1]] + list(all_controls[k, iw]))
+    all_controls = feedback_controls(vg, gamma)  # (T, W, n) on the interior nodes
+    T, W = all_controls.shape[:2]
     _write_csv(
         out / "value_grid.csv",
-        ["t", "w", "F"] + [f"xhat_{i}" for i in range(n)],
-        rows,
+        {
+            "t": np.repeat(vg.times, W),
+            "w": np.tile(w_int, T),
+            "F": vg.F[:, 1:-1].ravel(),
+            **{f"xhat_{i}": all_controls[..., i].ravel() for i in range(n)},
+        },
     )
 
     dual = kernel_weight_of_wealth(u, w_int)[:, None] * gamma[None, :]
     errors = np.abs(all_controls - dual[None, :, :])
     max_err = float(np.nanmax(errors)) if errors.size else 0.0
-    sample = np.unique(np.linspace(0, vg.times.shape[0] - 1, 33).astype(int))
-    rows = []
-    for k in sample:
-        for iw, w in enumerate(w_int):
-            row = [float(vg.times[k]), float(w)]
-            row.extend(all_controls[k, iw])
-            row.extend(dual[iw])
-            row.append(float(np.max(errors[k, iw])))
-            rows.append(row)
+    sample = np.unique(np.linspace(0, T - 1, 33).astype(int))
     _write_csv(
         out / "cross_validation.csv",
-        ["t", "w"]
-        + [f"hjb_{i}" for i in range(n)]
-        + [f"dual_{i}" for i in range(n)]
-        + ["max_error"],
-        rows,
+        {
+            "t": np.repeat(vg.times[sample], W),
+            "w": np.tile(w_int, sample.size),
+            **{f"hjb_{i}": all_controls[sample, :, i].ravel() for i in range(n)},
+            **{f"dual_{i}": np.tile(dual[:, i], sample.size) for i in range(n)},
+            "max_error": np.max(errors[sample], axis=2).ravel(),
+        },
     )
 
     exact = closed_form_value(u, vg)

@@ -187,12 +187,15 @@ def flat_forward_curve(grid: MaturityGrid, rate: float) -> Curve:
 
 
 def curve_from_forward(grid: MaturityGrid, forward) -> Curve:
-    """Discount curve exp(-int_0^x f) from a forward-rate function.
+    """Discount curve exp(-int_0^x f) from forward rates, by the trapezoid rule.
 
     Args:
-        forward: callable evaluated at the grid nodes.
+        forward: callable evaluated at the grid nodes, or its (N,) samples
+            there.
     """
-    f_vals = np.asarray([forward(x) for x in grid.nodes], dtype=np.float64)
+    if callable(forward):
+        forward = [forward(x) for x in grid.nodes]
+    f_vals = np.asarray(forward, dtype=np.float64)
     integral = np.concatenate(
         [[0.0], np.cumsum(0.5 * (f_vals[1:] + f_vals[:-1]) * grid.dx)]
     )
@@ -501,12 +504,7 @@ def simulate_mild(
             else:
                 # every path's coefficients at t_k, sampled on its own curve
                 curves = [Curve(grid, states[j] - fill[j], float(fill[j])) for j in range(n_block)]
-                g, a = coefficient_table(schedule, grid, times[k], curves)
-                if g.shape[1] != n_factors + 1:
-                    raise ConfigInvalid(
-                        f"volatility has {g.shape[1] - 1} factors at t = {times[k]:g} "
-                        f"but {n_factors} at t = 0"
-                    )
+                g, a = coefficient_table(schedule, grid, times[k], curves, n_factors)
                 gamma_k = None if gamma_arr is None else gamma_arr[k]
                 base_k, sig_k, base_ak, sig_ak = _exponent_coefficients(g, a, gamma_k, dt)
 

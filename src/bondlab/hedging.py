@@ -16,7 +16,7 @@ portfolio in two moves, both per time step:
    (A_t c)_i, minimum-norm via pseudo-inverse. A cash atom at 0 (the bond
    p_t(0) carries no risk since sigma(0) = 0) completes the wealth to the
    conditional claim value, propagated by the running value identity
-   V_{k+1} = V_k + sum_i x_k^i dW~_k^i or supplied by an oracle.
+   V_{k+1} = V_k + sum_i x_k^i dW~_k^i.
 
 For deterministic market prices of risk the Clark-Ocone integrand of the
 optimal-wealth claims has the closed form x_t^i = gamma_t^i y_t with y_t
@@ -26,7 +26,7 @@ from the utility kernel tables; that path is exercised by the optimizer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -254,7 +254,6 @@ def complete_hedge(
     integrands: np.ndarray,
     price0,
     gamma=None,
-    conditional_mean: Callable[[int], np.ndarray] | None = None,
     atom_maturities: Sequence[float] | None = None,
     eps_rank: float = 1e-10,
     eps_residual: float = 1e-8,
@@ -268,11 +267,8 @@ def complete_hedge(
             for pairing the result's strategy, the cash atom at 0).
         integrands: (K, P, n) hedge targets at the left endpoints.
         price0: claim price E_Q[X] (scalar or per-path array).
-        gamma: market price of risk, required unless conditional_mean is
-            given; used to propagate the conditional value V-bar via
-            Q-increments.
-        conditional_mean: optional oracle k -> (P,) values E_Q[X | F_{t_k}],
-            replacing the propagation.
+        gamma: market price of risk (required); propagates the conditional
+            value V-bar via Q-increments.
         atom_maturities: maturity basis; default 2n+1 points in
             [0.5, x_max - T].
 
@@ -290,8 +286,8 @@ def complete_hedge(
     n = ops.n_factors
     if integrands.shape != (K, P, n):
         raise ConfigInvalid(f"integrands shape {integrands.shape} != {(K, P, n)}")
-    if conditional_mean is None and gamma is None:
-        raise ConfigInvalid("complete_hedge needs gamma or a conditional_mean oracle")
+    if gamma is None:
+        raise ConfigInvalid("complete_hedge needs gamma")
     maturities = (
         default_atom_maturities(n, cfg.grid, cfg.horizon)
         if atom_maturities is None
@@ -299,9 +295,7 @@ def complete_hedge(
     )
     M = maturities.shape[0]
 
-    dw_q = None
-    if conditional_mean is None:
-        dw_q = q_brownian_increments(path.dw, gamma, cfg.dt)
+    dw_q = q_brownian_increments(path.dw, gamma, cfg.dt)
 
     # the strategy's table: cash at 0, then the atom basis; the claim pays at
     # T in cash, so no bonds are held at the last step
@@ -310,9 +304,7 @@ def complete_hedge(
     vbar = np.empty((K + 1, P))
     gram_residual = np.empty((K, P))
     achieved = np.empty((K, P, n))
-    vbar[0] = conditional_mean(0) if conditional_mean is not None else np.broadcast_to(
-        np.asarray(price0, dtype=np.float64), (P,)
-    )
+    vbar[0] = np.broadcast_to(np.asarray(price0, dtype=np.float64), (P,))
 
     for k in range(K):
         nodes = None if path.nodes is None else path.nodes[k]
@@ -334,10 +326,7 @@ def complete_hedge(
         p_at = atoms_value_matrix(maturities, path.states[k], cfg.grid, nodes=nodes, step=k)
         risky = np.sum(w * p_at, axis=1)
         cash[k] = (vbar[k] - risky) / path.value0[k]
-        if conditional_mean is not None:
-            vbar[k + 1] = conditional_mean(k + 1)
-        else:
-            vbar[k + 1] = vbar[k] + np.einsum("pn,pn->p", targets, dw_q[:, k, :])
+        vbar[k + 1] = vbar[k] + np.einsum("pn,pn->p", targets, dw_q[:, k, :])
     cash[K] = vbar[K] / path.value0[K]
     weights.flags.writeable = cash.flags.writeable = False
     strategy = Holdings.cash_and_bonds("completed_hedge", cfg.grid, maturities, table)

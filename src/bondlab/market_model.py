@@ -142,13 +142,15 @@ class CoefficientSchedule:
 
 
 def coefficient_table(
-    schedule: CoefficientSchedule, grid: MaturityGrid, times, curves=None
+    schedule: CoefficientSchedule, grid: MaturityGrid, times, curves=None, n_factors=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """m_t and sigma_t^i of a schedule at stacked times, as grid and constant parts.
 
     Row j is schedule.at(times[j], curves[j]). A deterministic schedule takes
     no curves. A state-dependent one takes one curve per row; a single time
-    then serves every row, as in one step of a block of paths.
+    then serves every row, as in one step of a block of paths. A caller that
+    builds one table per step passes n_factors, the factor count it found at
+    t = 0, so that every step is checked against it.
 
     Returns:
         g (T, 1 + n, N): grid parts of m_t, then of each sigma_t^i.
@@ -157,17 +159,18 @@ def coefficient_table(
 
     Raises:
         GridMismatch: a row's drift or factors live on another grid than grid.
-        ConfigInvalid: a row's factor count differs from row 0's.
+        ConfigInvalid: a row's factor count differs from n_factors, or by
+            default from row 0's.
     """
     times = np.atleast_1d(times) if curves is None else np.broadcast_to(times, (len(curves),))
     samples = [schedule.at(float(t), p) for t, p in zip(times, curves or [None] * len(times))]
-    n = samples[0][1].n_factors
+    n, t0 = (samples[0][1].n_factors, times[0]) if n_factors is None else (n_factors, 0.0)
     for t, (m, sig) in zip(times, samples):
         if m.curve.grid != grid or sig.grid != grid:
             raise GridMismatch(f"market coefficients at t = {t:g} live on another grid")
         if sig.n_factors != n:
             raise ConfigInvalid(
-                f"volatility has {sig.n_factors} factors at t = {t:g} but {n} at t = {times[0]:g}"
+                f"volatility has {sig.n_factors} factors at t = {t:g} but {n} at t = {t0:g}"
             )
     rows = [(m.curve,) + sig.factors for m, sig in samples]
     return np.array([[f.g for f in r] for r in rows]), np.array([[f.a for f in r] for r in rows])

@@ -480,9 +480,10 @@ def optimal_strategy_log_stochastic(
     l_pair = l_at @ w0
 
     # per-path gamma from the state-dependent volatility
-    gamma_steps = []
+    gamma_steps, n = [], None
     for k in range(K):
-        sigma = coefficient_rows(schedule, path, k)[1:]  # (n, N) or (n, P, N)
+        sigma = coefficient_rows(schedule, path, k, n)[1:]  # (n, N) or (n, P, N)
+        n = len(sigma)
         at = atoms_value_matrix(maturities, l_vals[k], grid, coefficient=sigma)
         # one dot product per (factor, path): a matrix-vector product rounds differently
         gamma_steps.append(np.matmul(at[..., None, :], w0[:, None])[..., 0, 0].T)

@@ -338,15 +338,18 @@ class Pairings(NamedTuple):
     vol: np.ndarray | None  # (K, P, n) <theta_k, p_k sigma_k^i>
 
 
-def coefficient_rows(schedule: CoefficientSchedule, path: CurvePath, k: int) -> np.ndarray:
+def coefficient_rows(
+    schedule: CoefficientSchedule, path: CurvePath, k: int, n_factors: int | None = None
+) -> np.ndarray:
     """Node values of m_k, then of each sigma_k^i, stacked: (1 + n, N).
 
     A state-dependent schedule is sampled on every path's curve: (1 + n, P, N);
     that needs keep_states=True (ConfigInvalid on a column-only ensemble).
-    Both come from market_model.coefficient_table.
+    Both come from market_model.coefficient_table, which raises ConfigInvalid
+    when n_factors (the count at step 0) is given and step k has another.
     """
     curves = None if schedule.deterministic else [path.curve_at(k, j) for j in range(path.n_paths)]
-    g, a = coefficient_table(schedule, path.config.grid, path.times[k], curves)
+    g, a = coefficient_table(schedule, path.config.grid, path.times[k], curves, n_factors)
     rows = np.ascontiguousarray(np.moveaxis(g + a[..., None], 0, 1))  # (1 + n, 1 or P, N)
     return rows[:, 0] if schedule.deterministic else rows
 
@@ -426,7 +429,7 @@ def pairings(
         value[k] = _pair_step(p, None, step_groups, grid, nodes, k)
         if schedule is None or k == K:
             continue
-        rows = coefficient_rows(schedule, path, k)
+        rows = coefficient_rows(schedule, path, k, None if vol is None else vol.shape[2])
         if vol is None:
             drift, vol = np.empty((K, P)), np.empty((K, P, len(rows) - 1))
         coeff = rows if rows.ndim == 3 else rows[:, None]

@@ -1,4 +1,6 @@
 """Shared fixtures: grids, markets, and small simulated ensembles."""
+import math
+
 import numpy as np
 import pytest
 
@@ -142,3 +144,47 @@ def per_path_exponent_rows(schedule, t, curves, gamma, dt):
     """(base, sig, base_a, sig_a) of a state-dependent schedule, one path at a time."""
     rows = [_exponent_row(*schedule.at(t, p), gamma, dt) for p in curves]
     return tuple(np.array(column) for column in zip(*rows))
+
+
+# --- CLI table oracles ----------------------------------------------------------
+# The CLI writes each table from columns and takes every per-path statistic
+# from one reduction over a table's path axis; these are the per-cell
+# formatter and the per-slice statistics they replaced.
+
+
+def fmt_cell(x) -> str:
+    """One CSV cell: strings as they are, integers by str, floats to 17 digits."""
+    if isinstance(x, str):
+        return x
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    return f"{float(x):.17g}"
+
+
+def csv_text(header, rows) -> str:
+    """A CSV file's text from a header and row lists, one fmt_cell per cell."""
+    lines = [",".join(header)]
+    lines.extend(",".join(fmt_cell(cell) for cell in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def slice_mean(arr, fixed_order: bool) -> float:
+    """Mean of one slice: math.fsum with fixed_order, else np.mean of a copy."""
+    arr = np.asarray(arr, dtype=np.float64).ravel()
+    if fixed_order:
+        return math.fsum(arr.tolist()) / arr.size
+    return float(np.mean(arr))
+
+
+def slice_mean_se(arr, fixed_order: bool) -> tuple[float, float]:
+    """(mean, standard error) of one slice; the error is 0 for a single value."""
+    arr = np.asarray(arr, dtype=np.float64).ravel()
+    n = arr.size
+    m = slice_mean(arr, fixed_order)
+    if n < 2:
+        return m, 0.0
+    if fixed_order:
+        var = math.fsum(((x - m) ** 2 for x in arr.tolist())) / (n - 1)
+    else:
+        var = float(np.var(arr, ddof=1))
+    return m, math.sqrt(var / n)

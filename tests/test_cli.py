@@ -21,7 +21,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bondlab import kernels
-from bondlab.cli import _resolve_scenario, main
+from bondlab.cli import _initial_curve, _path_mean, _resolve_scenario, _write_csv, main
+from bondlab.curve_space import MaturityGrid
+from bondlab.dynamics import flat_forward_curve
+from conftest import csv_text, slice_mean, slice_mean_se
 
 
 def _scenario(**over) -> dict:
@@ -80,7 +83,7 @@ def test_simulate_emits_artifacts_with_verified_hashes(tmp_path):
     assert meta["scenario_sha256"] == hashlib.sha256(scn_path.read_bytes()).hexdigest()
     assert meta["command"] == "simulate"
     assert meta["kernel_flags"] == kernels.kernel_flags()
-    assert (meta["kernel_flags"] is None) == (meta["backend"] == "python")
+    assert meta["backend"] == "compiled"
     assert set(meta["artifacts"]) == expected - {"metadata.json"}
     for fname, digest in meta["artifacts"].items():
         assert hashlib.sha256((out / fname).read_bytes()).hexdigest() == digest
@@ -666,3 +669,78 @@ def test_module_entry_point_runs_in_a_subprocess(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "artifacts" in proc.stdout
     assert (out / "metadata.json").is_file()
+
+
+# --- column tables and path reductions -----------------------------------------
+
+
+def test_write_csv_matches_the_cell_oracle(tmp_path):
+    floats = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 1e-300, 0.1, 1.0, -2.5e17, 1 / 3])
+    columns = {
+        "path": np.arange(floats.size),
+        "id": np.arange(floats.size, dtype=np.int32) - 3,
+        "x": floats,
+        "name": np.array(["a", "bb", "nan", "1", "-0", "ok", "", "x y", "z", "last"]),
+        "y": floats[::-1],
+    }
+    _write_csv(tmp_path / "t.csv", columns)
+    rows = [list(row) for row in zip(*(c.tolist() for c in columns.values()))]
+    assert (tmp_path / "t.csv").read_text() == csv_text(list(columns), rows)
+    # numpy scalars in the oracle's cells format as the Python ones do
+    assert csv_text(["x"], [[np.float64(0.1)], [np.int64(7)]]) == "x\n0.10000000000000001\n7\n"
+
+    empty = {"t": np.zeros(0), "n": np.zeros(0, dtype=np.int64), "s": np.array([], dtype=str)}
+    _write_csv(tmp_path / "e.csv", empty)
+    assert (tmp_path / "e.csv").read_text() == csv_text(["t", "n", "s"], []) == "t,n,s\n"
+
+
+def _path_tables(n_paths: int) -> dict:
+    """(K+1, P) tables in the layouts the verbs reduce, with uneven row scales."""
+    rng = np.random.default_rng(n_paths)
+    scale = rng.uniform(0.1, 10.0, size=(5, 1))
+    obs = rng.normal(1.0, 0.3, size=(5, n_paths, 3)) * scale[..., None]
+    wide = np.zeros((5, n_paths, 4))
+    wide[..., 1:] = rng.normal(size=(5, n_paths, 3))
+    return {
+        # strided rows of a (K+1, P, M) table, one maturity column at a time
+        **{f"obs_{j}": obs[..., j] for j in range(3)},
+        "table_column": wide[..., 2],
+        "c_order": rng.normal(size=(5, n_paths)) * scale,
+        "f_order": np.asfortranarray(rng.lognormal(size=(5, n_paths))),
+        "row": rng.normal(size=n_paths),
+        "broadcast_row": np.broadcast_to(0.7, (n_paths,)),
+    }
+
+
+@pytest.mark.parametrize("fixed", [True, False], ids=["fixed_order", "default"])
+@pytest.mark.parametrize("n_paths", [1, 512, 10_000])
+def test_path_mean_matches_the_per_slice_oracle(n_paths, fixed):
+    for name, table in _path_tables(n_paths).items():
+        mean = _path_mean(table, fixed)
+        mean_se, se = _path_mean(table, fixed, se=True)
+        assert mean.shape == se.shape == table.shape[:-1], name
+        rows = np.atleast_2d(table)
+        expected = np.array([slice_mean_se(r, fixed) for r in rows])
+        expected = expected.reshape(table.shape[:-1] + (2,))
+        assert np.asarray(mean).tobytes() == np.asarray(mean_se).tobytes(), name
+        assert np.asarray(mean).tobytes() == expected[..., 0].tobytes(), name
+        assert np.asarray(se).tobytes() == expected[..., 1].tobytes(), name
+        assert [slice_mean(r, fixed) for r in rows] == np.atleast_1d(mean).tolist(), name
+        if n_paths == 1:
+            assert not np.any(se), name
+
+
+def test_initial_curve_from_forward_samples(tmp_path, capsys):
+    grid = MaturityGrid(3.0, 97)
+    samples = {"kind": "forward_samples", "values": [0.05] * grid.n_points}
+    scn = _scenario(initial_curve=samples)
+    rc, _, _ = _run(tmp_path, "simulate", scn, "--paths", "8", "--steps", "8")
+    assert rc == 0
+    p0 = _initial_curve(samples, grid)
+    flat = flat_forward_curve(grid, 0.05)
+    assert np.max(np.abs(p0.values() - flat.values())) <= 1e-12
+
+    short = {"kind": "forward_samples", "values": [0.05] * (grid.n_points - 1)}
+    rc, _, _ = _run(tmp_path, "simulate", _scenario(initial_curve=short), out="short")
+    assert rc == 2
+    assert _payload(capsys)["error"] == "ConfigInvalid"

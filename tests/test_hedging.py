@@ -353,7 +353,7 @@ def test_complete_hedge_validates_inputs(market):
     ops = gram_operators(market["p0"], schedule, path.times, config.s)
     K, P = path.n_steps, path.n_paths
     with pytest.raises(ConfigInvalid):
-        complete_hedge(ops, path, np.zeros((K, P, 1)), price0=1.0)  # no gamma, no oracle
+        complete_hedge(ops, path, np.zeros((K, P, 1)), price0=1.0)  # no gamma
     with pytest.raises(ConfigInvalid):
         complete_hedge(ops, path, np.zeros((K, P, 2)), price0=1.0, gamma=market["gamma"])
     stateless = simulate_mild(market["p0"], schedule, config)

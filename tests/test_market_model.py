@@ -9,6 +9,7 @@ from bondlab.curve_space import Curve, MaturityGrid, SobolevIndex, sobolev_inner
 from bondlab.dynamics import SimConfig, flat_forward_curve, simulate_mild
 from bondlab.errors import ArbitrageDetected, ConfigInvalid, GridMismatch, ValidationFailure
 from bondlab.hedging import gram_operators
+from bondlab.optimizer import optimal_strategy_log_stochastic
 from bondlab.market_model import (
     CoefficientSchedule,
     DriftCurve,
@@ -246,7 +247,7 @@ def _schedule(drift_grid=_TABLE_GRID, late_sigma=None, kind="deterministic"):
 
 
 def _consumers(schedule):
-    """simulate_mild, pairings and gram_operators, each sampling the schedule."""
+    """simulate_mild, pairings, gram_operators and the log plan, each sampling the schedule."""
     config = SimConfig(_TABLE_GRID, SobolevIndex(1), 1.0, 4, 3, seed=1)
     p0 = flat_forward_curve(_TABLE_GRID, 0.05)
     path = simulate_mild(p0, _schedule(), config, keep_states=True)
@@ -255,42 +256,49 @@ def _consumers(schedule):
         "simulate_mild": lambda: simulate_mild(p0, schedule, config),
         "pairings": lambda: pairings(cash, path, schedule),
         "gram_operators": lambda: gram_operators(p0, schedule, config.times, config.s),
+        "log_plan": lambda: optimal_strategy_log_stochastic(1.0, path, schedule, [0.5, 1.0]),
     }
 
 
 @pytest.mark.parametrize(
-    "schedule, consumers, error, message",
+    "schedule, error, message",
     [
         # a drift on another grid of the same node count
-        (_schedule(drift_grid=_OTHER_GRID), None, GridMismatch, r"at t = 0 "),
+        (_schedule(drift_grid=_OTHER_GRID), GridMismatch, r"at t = 0 "),
         # a drift with another node count
-        (_schedule(drift_grid=MaturityGrid(4.0, 129)), None, GridMismatch, r"at t = 0 "),
+        (_schedule(drift_grid=MaturityGrid(4.0, 129)), GridMismatch, r"at t = 0 "),
         # the factor count changes at t = 0.5
         (
             _schedule(late_sigma=_sigma(_TABLE_GRID, 2)),
-            ("simulate_mild", "gram_operators"),
             ConfigInvalid,
             r"2 factors at t = 0.5 but 1 at t = 0",
         ),
         # the factors move to another grid at t = 0.5
-        (_schedule(late_sigma=_sigma(_OTHER_GRID)), None, GridMismatch, r"at t = 0.5 "),
+        (_schedule(late_sigma=_sigma(_OTHER_GRID)), GridMismatch, r"at t = 0.5 "),
     ],
     ids=["drift_grid", "drift_nodes", "factor_count", "late_factor_grid"],
 )
-def test_every_coefficient_sample_is_checked(schedule, consumers, error, message):
+def test_every_coefficient_sample_is_checked(schedule, error, message):
     times = np.linspace(0.0, 1.0, 5)
     with pytest.raises(error, match=message):
         coefficient_table(schedule, _TABLE_GRID, times)
-    for name, call in _consumers(schedule).items():
-        if consumers is None or name in consumers:
-            with pytest.raises(error, match=message):
-                call()
+    for call in _consumers(schedule).values():
+        with pytest.raises(error, match=message):
+            call()
 
 
 def test_a_state_dependent_factor_count_change_is_named():
     schedule = _schedule(late_sigma=_sigma(_TABLE_GRID, 2), kind="state-dependent")
     with pytest.raises(ConfigInvalid, match=r"2 factors at t = 0.5 but 1 at t = 0"):
         _consumers(schedule)["simulate_mild"]()
+
+
+@pytest.mark.parametrize("consumer", ["pairings", "log_plan"])
+def test_a_state_dependent_factor_count_change_is_named_per_step(consumer):
+    # these build one table per step, each checked against step 0's count
+    schedule = _schedule(late_sigma=_sigma(_TABLE_GRID, 2), kind="state-dependent")
+    with pytest.raises(ConfigInvalid, match=r"2 factors at t = 0.5 but 1 at t = 0"):
+        _consumers(schedule)[consumer]()
 
 
 def test_coefficient_table_stacks_grid_and_constant_parts():
